@@ -6,12 +6,14 @@ residual coordinate over basis triples, reduced to a primitive normalized
 representative. A rational assignment satisfies the set exactly when the
 evaluated table passes check_leibniz.
 
-A BasisChange holds the new basis as rows in old coordinates. Parametric
-rows are allowed only while the determinant stays a nonzero rational
-constant (unipotent changes and the like); then the inverse is the
-adjugate over that constant and every transformed entry stays polynomial.
-Products transform by w = [c_p, c_q] in old coordinates followed by
-coords_new = w . C^-1.
+A BasisChange holds the new basis as rows in old coordinates. A constant
+change is inverted by Gauss-Jordan elimination, and on a constant table it
+is applied through the table's sparse constants without any Poly
+arithmetic. Parametric rows are allowed only while the determinant stays a
+nonzero rational constant (unipotent changes and the like); then the
+inverse is the adjugate over that constant and every transformed entry
+stays polynomial. Products transform by w = [c_p, c_q] in old coordinates
+followed by coords_new = w . C^-1.
 """
 
 from __future__ import annotations
@@ -29,15 +31,21 @@ from .core import (
     PASS,
     Verdict,
     det_and_adjugate,
+    inverse_constant,
+    mat_constant,
     mat_from_rows,
     mat_identity,
     mat_mul,
+    sparse,
+    sparse_element,
 )
 from .errors import BasisChangeError, DimensionMismatchError, ParametricError
 from .scalars import Poly, as_poly, normalize_primitive, poly_sort_key
 
 DISTINGUISHED = "DISTINGUISHED"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+_SINGULAR = "change of basis is singular (determinant 0)"
 
 
 @dataclass(frozen=True)
@@ -125,8 +133,21 @@ class BasisChange:
             raise DimensionMismatchError("cannot compose changes of different dimension")
         return BasisChange(mat_mul(second.rows, self.rows))
 
+    def constant_rows(self) -> tuple[tuple[Fraction, ...], ...] | None:
+        """The rows over Fraction, or None when an entry has a parameter."""
+        try:
+            return mat_constant(self.rows)
+        except ParametricError:
+            return None
+
     def inverse_matrix(self) -> Matrix:
-        """C^-1 = adj(C)/det(C); requires a nonzero rational constant det."""
+        """C^-1: Gauss-Jordan for a constant change, else adj(C)/det(C).
+
+        A parametric change needs a nonzero rational constant determinant.
+        """
+        rows = self.constant_rows()
+        if rows is not None:
+            return mat_from_rows(_invert(rows))
         det, adj = det_and_adjugate(self.rows)
         if not det.is_constant():
             raise BasisChangeError(
@@ -135,9 +156,16 @@ class BasisChange:
             )
         value = det.constant_value()
         if value == 0:
-            raise BasisChangeError("change of basis is singular (determinant 0)")
+            raise BasisChangeError(_SINGULAR)
         inv = Fraction(1) / value
         return tuple(tuple(inv * entry for entry in row) for row in adj)
+
+
+def _invert(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
+    inv = inverse_constant(rows)
+    if inv is None:
+        raise BasisChangeError(_SINGULAR)
+    return inv
 
 
 def apply_basis_change(t: AlgebraTable, change: BasisChange) -> AlgebraTable:
@@ -151,6 +179,9 @@ def apply_basis_change(t: AlgebraTable, change: BasisChange) -> AlgebraTable:
         raise DimensionMismatchError(
             f"change has dimension {change.dim}, table has {t.dim}"
         )
+    rows = change.constant_rows()
+    if rows is not None and not t.is_parametric():
+        return _apply_constant_change(t, rows, _invert(rows))
     inv = change.inverse_matrix()
     extra = sorted(change.parameters() - set(t.params))
     params = t.params + tuple(extra)
@@ -171,6 +202,26 @@ def apply_basis_change(t: AlgebraTable, change: BasisChange) -> AlgebraTable:
             row.append(Element(tuple(coords)))
         new_rows.append(tuple(row))
     return AlgebraTable(t.name, t.dim, params, t.basis, tuple(new_rows))
+
+
+def _apply_constant_change(
+    t: AlgebraTable, rows: Sequence[Sequence[Fraction]], inv: Sequence[Sequence[Fraction]]
+) -> AlgebraTable:
+    """apply_basis_change for a constant table and change, on Fraction rows."""
+    new = [sparse(row) for row in rows]
+    inv_rows = [sparse(row) for row in inv]
+    indices = range(t.dim)
+    table = []
+    for cp in new:
+        row = []
+        for cq in new:
+            coords: dict[int, Fraction] = {}
+            for i, wi in t.sparse_bracket(cp, cq).items():
+                for r, x in inv_rows[i].items():
+                    coords[r] = coords.get(r, 0) + wi * x
+            row.append(sparse_element({r: x for r, x in coords.items() if x}, indices))
+        table.append(tuple(row))
+    return AlgebraTable(t.name, t.dim, t.params, t.basis, tuple(table))
 
 
 def verify_isomorphism(t1: AlgebraTable, t2: AlgebraTable, change: BasisChange) -> Verdict:
@@ -213,16 +264,18 @@ class ProfileReport:
     def distinguished(self) -> bool:
         return self.status == DISTINGUISHED
 
+    @classmethod
+    def compare(cls, p1: InvariantProfile, p2: InvariantProfile) -> "ProfileReport":
+        """DISTINGUISHED when any invariant differs, else INCONCLUSIVE.
+
+        INCONCLUSIVE never claims the tables are isomorphic; it only says the
+        computed invariants cannot tell them apart.
+        """
+        d1, d2 = p1.as_dict(), p2.as_dict()
+        separating = tuple(k for k in d1 if d1[k] != d2[k])
+        return cls(DISTINGUISHED if separating else INCONCLUSIVE, p1, p2, separating)
+
 
 def compare_profiles(t1: AlgebraTable, t2: AlgebraTable) -> ProfileReport:
-    """DISTINGUISHED when any computed invariant differs, else INCONCLUSIVE.
-
-    INCONCLUSIVE never claims the tables are isomorphic; it only says the
-    computed invariants cannot tell them apart.
-    """
-    p1 = t1.invariant_profile()
-    p2 = t2.invariant_profile()
-    d1, d2 = p1.as_dict(), p2.as_dict()
-    separating = tuple(k for k in d1 if d1[k] != d2[k])
-    status = DISTINGUISHED if separating else INCONCLUSIVE
-    return ProfileReport(status, p1, p2, separating)
+    """Compute both invariant profiles and compare them (ProfileReport.compare)."""
+    return ProfileReport.compare(t1.invariant_profile(), t2.invariant_profile())

@@ -238,9 +238,9 @@ def _cmd_profile(args) -> int:
                 print(f"  {field:<22}{_fmt_value(d[field])}")
     for i in range(len(profiles)):
         for j in range(i + 1, len(profiles)):
-            _, t1, _ = profiles[i]
-            _, t2, _ = profiles[j]
-            report = analysis.compare_profiles(t1, t2)
+            _, t1, p1 = profiles[i]
+            _, t2, p2 = profiles[j]
+            report = analysis.ProfileReport.compare(p1, p2)
             if args.porcelain:
                 fields = ",".join(report.separating)
                 print(f"compare\t{t1.name}\t{t2.name}\t{report.status}\t{fields}")

@@ -15,15 +15,21 @@ identity reads R_[y,z] = R_z.R_y - R_y.R_z. For the canonical sl2 action
 this gives H = F.E - E.F, H.E - E.H = 2E and H.F - F.H = -2F.
 
 Linear algebra is exact over Fraction: subspaces are reduced row echelon
-forms, ideals are closed by fixed-point iteration (rank is monotone and
-bounded by the dimension, so this terminates).
+forms. Constant tables have one more representation, their sparse
+structure constants (AlgebraTable.constants), built once per table; every
+constants-only operation (identity checks, product spans, ideals, centers,
+quotients, constant basis changes) brackets sparse Fraction vectors
+{index: value} through it and feeds one incremental echelon routine
+(Echelon). Ideals are closed with a worklist: each new echelon row is
+bracketed with the basis once, so this terminates after at most dim rows.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -35,6 +41,10 @@ from .scalars import ONE, ZERO, Poly, as_poly, format_term, _join_terms
 
 Coeffish = Union[Poly, Fraction, int]
 Matrix = tuple[tuple[Poly, ...], ...]
+# a constant vector {coordinate: nonzero value}; absent coordinates are zero
+SparseVec = dict[int, Fraction]
+# constants()[i][j] lists the nonzero (k, coefficient) pairs of [b_i, b_j]
+Constants = list[list[list[tuple[int, Fraction]]]]
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -110,32 +120,108 @@ def format_element(el: Element, basis: Sequence[str]) -> str:
 # exact row reduction
 
 
+def sparse(coords: Sequence[Fraction]) -> SparseVec:
+    """The nonzero coordinates of a dense vector."""
+    return {k: c for k, c in enumerate(coords) if c}
+
+
+def sparse_element(vec: SparseVec, indices: Sequence[int]) -> Element:
+    """The Element whose coordinates are vec read at the given indices."""
+    return Element(tuple(Poly.const(vec[i]) if i in vec else ZERO for i in indices))
+
+
+def _subtract(v: SparseVec, c: Fraction, row: SparseVec) -> None:
+    """v -= c * row in place, dropping the coordinates that cancel."""
+    for k, x in row.items():
+        y = v.get(k, _F0) - c * x
+        if y:
+            v[k] = y
+        else:
+            del v[k]
+
+
+class Echelon:
+    """Incremental row echelon form over Fraction, rows kept by pivot.
+
+    Each row has a 1 at its pivot and zeros at every column left of it and
+    at every pivot column that existed when it was added. A new vector is
+    reduced on arrival, dropped when it reduces to zero and otherwise
+    scaled into a new row; reduced() back-substitutes once, which gives the
+    canonical reduced row echelon form whatever the order of arrival.
+    """
+
+    __slots__ = ("ambient", "rows", "order")
+
+    def __init__(self, ambient: int):
+        self.ambient = ambient
+        self.rows: dict[int, SparseVec] = {}
+        self.order: list[int] = []  # pivot columns, ascending
+
+    @classmethod
+    def of(cls, sub: "Subspace") -> "Echelon":
+        ech = cls(sub.ambient)
+        ech.rows = {p: sparse(r) for r, p in zip(sub.rows, sub.pivots)}
+        ech.order = list(sub.pivots)
+        return ech
+
+    @property
+    def rank(self) -> int:
+        return len(self.order)
+
+    def reduce(self, vec: Union[SparseVec, Iterable[tuple[int, Fraction]]]) -> SparseVec:
+        """What is left of vec after clearing every pivot column.
+
+        vec holds no zero values. Pivots are cleared in ascending order:
+        a row touches no column left of its pivot, so no cleared column
+        fills in again. The result is empty exactly when vec is in the span.
+        """
+        v = dict(vec)
+        for p in self.order:
+            c = v.get(p)
+            if c:
+                _subtract(v, c, self.rows[p])
+        return v
+
+    def add(self, vec: Union[SparseVec, Iterable[tuple[int, Fraction]]]) -> SparseVec | None:
+        """Insert vec; returns its new row, or None when vec is dependent."""
+        if len(self.order) == self.ambient:
+            return None
+        v = self.reduce(vec)
+        if not v:
+            return None
+        p = min(v)
+        lead = v[p]
+        if lead != 1:
+            inv = _F1 / lead
+            v = {k: x * inv for k, x in v.items()}
+        self.rows[p] = v
+        insort(self.order, p)
+        return v
+
+    def reduced(self) -> dict[int, SparseVec]:
+        """Back-substitute in place; every row then has zeros at other pivots."""
+        done: dict[int, SparseVec] = {}
+        for p in reversed(self.order):
+            row = self.rows[p]
+            for q in [q for q in row if q in done]:
+                _subtract(row, row[q], done[q])
+            done[p] = row
+        return self.rows
+
+    def subspace(self) -> "Subspace":
+        rows = self.reduced()
+        n = self.ambient
+        dense = tuple(tuple(rows[p].get(k, _F0) for k in range(n)) for p in self.order)
+        return Subspace(n, dense, tuple(self.order))
+
+
 def rref(rows: Iterable[Sequence[Fraction]], ambient: int) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over Fraction. Returns (rows, pivot columns)."""
-    mat = [list(r) for r in rows if any(r)]
-    out: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for col in range(ambient):
-        pivot_at = None
-        for idx, r in enumerate(mat):
-            if r[col]:
-                pivot_at = idx
-                break
-        if pivot_at is None:
-            continue
-        pivot_row = mat.pop(pivot_at)
-        inv = _F1 / pivot_row[col]
-        pivot_row = [c * inv for c in pivot_row]
-        for rows_list in (out, mat):
-            for r in rows_list:
-                c = r[col]
-                if c:
-                    for k in range(ambient):
-                        r[k] -= c * pivot_row[k]
-        mat = [r for r in mat if any(r)]
-        out.append(pivot_row)
-        pivots.append(col)
-    return tuple(tuple(r) for r in out), tuple(pivots)
+    ech = Echelon(ambient)
+    for r in rows:
+        ech.add(sparse(r))
+    sub = ech.subspace()
+    return sub.rows, sub.pivots
 
 
 @dataclass(frozen=True)
@@ -162,13 +248,8 @@ class Subspace:
         return len(self.rows)
 
     def reduce(self, coords: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        v = list(coords)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for k in range(self.ambient):
-                    v[k] -= c * row[k]
-        return tuple(v)
+        left = Echelon.of(self).reduce(sparse(coords))
+        return tuple(left.get(k, _F0) for k in range(self.ambient))
 
     def contains(self, coords: Sequence[Fraction]) -> bool:
         return not any(self.reduce(coords))
@@ -248,23 +329,6 @@ def mat_scale(c: Coeffish, a: Matrix) -> Matrix:
     return tuple(tuple(s * x for x in row) for row in a)
 
 
-def mat_apply(m: Matrix, v: Sequence[Coeffish]) -> tuple[Poly, ...]:
-    """Apply to a coordinate column: out[i] = sum_j m[i][j] v[j]."""
-    vv = [as_poly(c) for c in v]
-    out = []
-    for row in m:
-        acc = ZERO
-        for c, x in zip(row, vv):
-            if c and x:
-                acc = acc + c * x
-        out.append(acc)
-    return tuple(out)
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return not any(any(row) for row in a)
-
-
 def mat_trace(a: Matrix) -> Poly:
     acc = ZERO
     for i in range(len(a)):
@@ -275,7 +339,7 @@ def mat_trace(a: Matrix) -> Poly:
 def mat_constant(a: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     try:
         return tuple(tuple(c.constant_value() for c in row) for row in a)
-    except Exception as exc:
+    except MissingParameterError as exc:
         raise ParametricError(f"matrix entry is not constant: {exc}") from exc
 
 
@@ -283,7 +347,9 @@ def det_and_adjugate(m: Matrix) -> tuple[Poly, Matrix]:
     """Determinant and adjugate via Faddeev-LeVerrier.
 
     Division-free apart from division by integers, so polynomial entries
-    stay polynomial. adj(M).M = det(M).I holds exactly.
+    stay polynomial. adj(M).M = det(M).I holds exactly. This is the path
+    for parametric matrices; a constant one is inverted by
+    inverse_constant.
     """
     n = len(m)
     if n == 0:
@@ -299,6 +365,24 @@ def det_and_adjugate(m: Matrix) -> tuple[Poly, Matrix]:
     det = c if n % 2 == 0 else -c
     adj = last_b if (n - 1) % 2 == 0 else mat_scale(-1, last_b)
     return det, adj
+
+
+def inverse_constant(m: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...] | None:
+    """Inverse of a constant square matrix by Gauss-Jordan on [M | I].
+
+    None when M is singular, that is when a pivot of [M | I] falls in the
+    identity block.
+    """
+    n = len(m)
+    ech = Echelon(2 * n)
+    for i, row in enumerate(m):
+        vec = sparse(row)
+        vec[n + i] = _F1
+        ech.add(vec)
+    if ech.order != list(range(n)):
+        return None
+    rows = ech.reduced()
+    return tuple(tuple(rows[i].get(n + j, _F0) for j in range(n)) for i in range(n))
 
 
 def submodule_closure(ops: Sequence[Matrix], seed: Element) -> Subspace:
@@ -386,13 +470,8 @@ class QuotientMap:
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        rows = []
-        for i in self.kept:
-            unit = [_F0] * self.ideal.ambient
-            unit[i] = _F1
-            reduced = self.ideal.reduce(unit)
-            rows.append(tuple(reduced[j] for j in range(self.ideal.ambient)))
-        return tuple(rows)
+        n = self.ideal.ambient
+        return tuple(self.ideal.reduce([_F1 if j == i else _F0 for j in range(n)]) for i in self.kept)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +491,8 @@ class AlgebraTable:
     params: tuple[str, ...]
     basis: tuple[str, ...]
     table: tuple[tuple[Element, ...], ...]
+    # built on first use by constants(); it lives and dies with the table
+    _constants: Constants | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim != len(self.basis):
@@ -494,7 +575,8 @@ class AlgebraTable:
         return format_element(el, self.basis)
 
     def is_parametric(self) -> bool:
-        return any(
+        # validation admits only declared parameters, so without any the table is constant
+        return bool(self.params) and any(
             not poly.is_constant() for row in self.table for entry in row for poly in entry.coords
         )
 
@@ -563,23 +645,46 @@ class AlgebraTable:
         t3 = self._bracket_basis_right(self.table[i][k], j)
         return t1 - t2 + t3
 
-    def _sparse_constant(self) -> list[list[list[tuple[int, Fraction]]]]:
-        if self.is_parametric():
-            raise ParametricError(
-                "table has parametric entries; use constraint extraction "
-                "(extract_constraints / the constraints command) instead"
-            )
-        return [
-            [
-                [(k, c.constant_value()) for k, c in enumerate(entry.coords) if c]
-                for entry in row
-            ]
-            for row in self.table
-        ]
+    def constants(self) -> Constants:
+        """Sparse structure constants, built on the first call and kept.
+
+        constants()[i][j] lists the nonzero (k, c) with [b_i, b_j] having
+        coefficient c at b_k. Raises ParametricError for a parametric table.
+        """
+        if self._constants is None:
+            try:
+                built = [
+                    [
+                        [(k, c.constant_value()) for k, c in enumerate(entry.coords) if c]
+                        for entry in row
+                    ]
+                    for row in self.table
+                ]
+            except MissingParameterError:
+                raise ParametricError(
+                    "table has parametric entries; use constraint extraction "
+                    "(extract_constraints / the constraints command) instead"
+                ) from None
+            object.__setattr__(self, "_constants", built)
+        return self._constants
+
+    def sparse_bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
+        """[u, v] for sparse constant vectors, through constants()."""
+        rows = self.constants()
+        acc: SparseVec = {}
+        for i, a in u.items():
+            row_i = rows[i]
+            for j, b in v.items():
+                entry = row_i[j]
+                if entry:
+                    s = a * b
+                    for k, c in entry:
+                        acc[k] = acc.get(k, _F0) + s * c
+        return {k: x for k, x in acc.items() if x}
 
     def check_leibniz(self) -> Verdict:
         """PASS iff every residual over basis triples vanishes. Constants only."""
-        rows = self._sparse_constant()
+        rows = self.constants()
         dim = self.dim
         for i in range(dim):
             row_i = rows[i]
@@ -612,7 +717,7 @@ class AlgebraTable:
 
     def check_lie(self) -> Verdict:
         """PASS iff the table is antisymmetric and satisfies Jacobi."""
-        rows = self._sparse_constant()
+        rows = self.constants()
         dim = self.dim
         for i in range(dim):
             for j in range(i, dim):
@@ -673,52 +778,64 @@ class AlgebraTable:
 
     def product_span(self, left: Subspace, right: Subspace) -> Subspace:
         """span{ [u, v] : u in left, v in right }, computed on echelon rows."""
-        vectors = []
-        for u in left.as_elements():
-            for v in right.as_elements():
-                vectors.append(self.bracket(u, v))
-        return span(vectors, self.dim)
+        ech = Echelon(self.dim)
+        rights = [sparse(r) for r in right.rows]
+        for row in left.rows:
+            u = sparse(row)
+            for v in rights:
+                w = self.sparse_bracket(u, v)
+                if w:
+                    ech.add(w)
+        return ech.subspace()
+
+    def _basis_brackets(self, v: SparseVec) -> Iterator[tuple[str, int, SparseVec]]:
+        """("right", j, [v, b_j]) then ("left", j, [b_j, v]), for j in order."""
+        for j in range(self.dim):
+            unit = {j: _F1}
+            yield "right", j, self.sparse_bracket(v, unit)
+            yield "left", j, self.sparse_bracket(unit, v)
 
     def ideal_closure(self, seed: Subspace) -> Subspace:
-        """Smallest two-sided ideal containing the seed subspace."""
+        """Smallest two-sided ideal containing the seed subspace.
+
+        A worklist closure: every row the echelon gains is bracketed with
+        each basis vector on both sides exactly once.
+        """
         if seed.ambient != self.dim:
             raise DimensionMismatchError("seed lives in the wrong ambient dimension")
-        current = seed
-        while True:
-            vectors: list[Union[Element, Sequence[Fraction]]] = list(current.rows)
-            for el in current.as_elements():
-                for j in range(self.dim):
-                    vectors.append(self._bracket_basis_right(el, j))
-                    vectors.append(self._bracket_basis_left(j, el))
-            nxt = span(vectors, self.dim)
-            if nxt.dim == current.dim:
-                return current
-            current = nxt
+        ech = Echelon(self.dim)
+        pending = [row for row in map(ech.add, map(sparse, seed.rows)) if row is not None]
+        while pending and ech.rank < self.dim:
+            for _, _, w in self._basis_brackets(pending.pop()):
+                if w:
+                    row = ech.add(w)
+                    if row is not None:
+                        pending.append(row)
+        return ech.subspace()
 
     def squares_ideal(self) -> Subspace:
         """Ideal generated by all squares, seeded with the polarized products."""
-        seed = []
+        rows = self.constants()
+        seed = Echelon(self.dim)
         for i in range(self.dim):
-            seed.append(self.table[i][i])
+            seed.add(rows[i][i])
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                seed.append(self.table[i][j] + self.table[j][i])
-        return self.ideal_closure(span(seed, self.dim))
+                acc = dict(rows[i][j])
+                for k, c in rows[j][i]:
+                    acc[k] = acc.get(k, _F0) + c
+                seed.add({k: c for k, c in acc.items() if c})
+        return self.ideal_closure(seed.subspace())
 
     def verify_ideal(self, sub: Subspace) -> None:
         """Raise NotAnIdealError naming a violating product if sub is not an ideal."""
-        for el in sub.as_elements():
-            for j in range(self.dim):
-                right = self._bracket_basis_right(el, j)
-                if not sub.contains(right.constant_coords()):
-                    raise NotAnIdealError(
-                        f"[{self.format_element(el)}, {self.basis[j]}] leaves the subspace"
-                    )
-                left = self._bracket_basis_left(j, el)
-                if not sub.contains(left.constant_coords()):
-                    raise NotAnIdealError(
-                        f"[{self.basis[j]}, {self.format_element(el)}] leaves the subspace"
-                    )
+        ech = Echelon.of(sub)
+        for row in sub.rows:
+            for side, j, w in self._basis_brackets(sparse(row)):
+                if ech.reduce(w):
+                    el = self.format_element(element_from(row))
+                    pair = f"{el}, {self.basis[j]}" if side == "right" else f"{self.basis[j]}, {el}"
+                    raise NotAnIdealError(f"[{pair}] leaves the subspace")
 
     def quotient_by(self, sub: Subspace) -> tuple["AlgebraTable", QuotientMap]:
         """Quotient table on the non-pivot coordinates, plus the projection."""
@@ -730,59 +847,52 @@ class AlgebraTable:
         kept = sub.complement_indices()
         proj = QuotientMap(sub, kept)
         new_basis = tuple(self.basis[i] for i in kept)
-        new_dim = len(kept)
-        rows = []
-        for p in kept:
-            row = []
-            for q in kept:
-                row.append(proj(self.table[p][q]))
-            rows.append(tuple(row))
-        quotient = AlgebraTable(f"{self.name}_mod_I", new_dim, (), new_basis, tuple(rows))
+        ech = Echelon.of(sub)
+        rows = self.constants()
+        table = tuple(
+            tuple(sparse_element(ech.reduce(rows[p][q]), kept) for q in kept) for p in kept
+        )
+        quotient = AlgebraTable(f"{self.name}_mod_I", len(kept), (), new_basis, table)
         return quotient, proj
 
     # -- invariants -----------------------------------------------------------
 
     def _center_dim(self, side: str) -> int:
         """dim{ z : [z, L] = 0 } (left) or dim{ z : [L, z] = 0 } (right)."""
-        rows = self._sparse_constant()
+        rows = self.constants()
         # constraint rows in the unknowns z_0..z_{dim-1}: for each companion
         # b_j and each output coordinate k, sum_i z_i coeff_k([b_i, b_j]) = 0
-        constraints: list[list[Fraction]] = []
+        ech = Echelon(self.dim)
         for j in range(self.dim):
-            per_coord: dict[int, list[Fraction]] = {}
+            per_coord: dict[int, SparseVec] = {}
             for i in range(self.dim):
                 entry = rows[i][j] if side == "left" else rows[j][i]
                 for k, c in entry:
-                    per_coord.setdefault(k, [_F0] * self.dim)[i] = c
-            constraints.extend(per_coord.values())
-        reduced, _ = rref(constraints, self.dim)
-        return self.dim - len(reduced)
+                    per_coord.setdefault(k, {})[i] = c
+            for vec in per_coord.values():
+                ech.add(vec)
+        return self.dim - ech.rank
 
     def invariant_profile(self) -> InvariantProfile:
         """Derived and lower central series dims, centers, squares ideal."""
         full = Subspace.full(self.dim)
-        derived = [self.dim]
-        current = full
-        while True:
-            nxt = self.product_span(current, current)
-            if nxt.dim == current.dim:
-                break
-            derived.append(nxt.dim)
-            current = nxt
-        lower = [self.dim]
-        current = full
-        while True:
-            nxt = self.product_span(current, full)
-            if nxt.dim == current.dim:
-                break
-            lower.append(nxt.dim)
-            current = nxt
-        derived_dim = derived[1] if len(derived) > 1 else derived[0]
+        square = self.product_span(full, full)  # [L, L] starts both series
+
+        def series(step) -> tuple[int, ...]:
+            dims = [self.dim]
+            current, nxt = full, square
+            while nxt.dim != current.dim:
+                dims.append(nxt.dim)
+                current, nxt = nxt, step(nxt)
+            return tuple(dims)
+
+        derived = series(lambda s: self.product_span(s, s))
+        lower = series(lambda s: self.product_span(s, full))
         return InvariantProfile(
             dim=self.dim,
-            derived_dim=derived_dim,
-            derived_series=tuple(derived),
-            lower_central_series=tuple(lower),
+            derived_dim=derived[1] if len(derived) > 1 else derived[0],
+            derived_series=derived,
+            lower_central_series=lower,
             left_center_dim=self._center_dim("left"),
             right_center_dim=self._center_dim("right"),
             squares_ideal_dim=self.squares_ideal().dim,

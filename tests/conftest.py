@@ -1,7 +1,9 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 import leibnizalg as L
 
@@ -78,3 +80,54 @@ def constant_fixture_tables() -> list[L.AlgebraTable]:
     for l, mu, a in ((1, 0, 1), (2, 3, 1), (0, 1, 0), (0, 1, 1), (0, 0, -5), (0, 4, 2)):
         tables.append(L.make_L_family(l, mu, a))
     return tables
+
+
+small_rationals = st.builds(
+    Fraction, st.integers(min_value=-3, max_value=3).filter(bool), st.integers(min_value=1, max_value=3)
+)
+
+
+@functools.cache
+def small_constant_leibniz_tables() -> tuple[L.AlgebraTable, ...]:
+    """Known Leibniz algebras of dimension at most 7."""
+    return tuple(t for t in constant_fixture_tables() if t.dim <= 7)
+
+
+@st.composite
+def sparse_constant_tables(draw) -> L.AlgebraTable:
+    """A random sparse constant table of dim <= 7: random products (rarely
+    Leibniz) or a small known Leibniz algebra on a shuffled basis."""
+    if draw(st.booleans()):
+        t = draw(st.sampled_from(small_constant_leibniz_tables()))
+        perm = draw(st.permutations(range(t.dim)))
+        return L.apply_basis_change(t, L.BasisChange.from_rows(
+            [[1 if j == perm[i] else 0 for j in range(t.dim)] for i in range(t.dim)]
+        ))
+    dim = draw(st.integers(min_value=1, max_value=7))
+    basis = tuple(f"b{i}" for i in range(dim))
+    index = st.integers(min_value=0, max_value=dim - 1)
+    products = draw(st.dictionaries(
+        st.tuples(index, index),
+        st.dictionaries(index, small_rationals, min_size=1, max_size=2),
+        max_size=2 * dim,
+    ))
+    named = {
+        (basis[i], basis[j]): {basis[k]: c for k, c in coords.items()}
+        for (i, j), coords in products.items()
+    }
+    return L.AlgebraTable.from_products("random_sparse", basis, named)
+
+
+@st.composite
+def invertible_changes(draw, dim: int) -> L.BasisChange:
+    """A sparse invertible rational change: nonzero diagonal scales, a few
+    shears row_i += c*row_j, then a row permutation."""
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        rows[i][i] = draw(small_rationals)
+    index = st.integers(min_value=0, max_value=dim - 1)
+    for i, j, c in draw(st.lists(st.tuples(index, index, small_rationals), max_size=dim)):
+        if i != j:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    perm = draw(st.permutations(range(dim)))
+    return L.BasisChange.from_rows([rows[p] for p in perm])

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import leibnizalg as L
 from leibnizalg.analysis import BasisChange
-from leibnizalg.core import mat_identity, mat_mul
+from leibnizalg.core import det_and_adjugate, mat_identity, mat_mul
 from leibnizalg.scalars import Poly
+
+from conftest import invertible_changes, small_rationals, sparse_constant_tables
 
 LAM, A, B = Poly.param("l"), Poly.param("a"), Poly.param("b")
 
@@ -168,3 +170,28 @@ def test_compare_profiles_inconclusive():
     assert report.status == L.INCONCLUSIVE
     assert report.separating == ()
     assert not report.distinguished
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_constant_change_metamorphic(data):
+    t = data.draw(sparse_constant_tables())
+    change = data.draw(invertible_changes(t.dim))
+    inv = change.inverse_matrix()
+    assert mat_mul(inv, change.rows) == mat_identity(t.dim)
+    det, adj = det_and_adjugate(change.rows)
+    assert inv == tuple(tuple(x * Fraction(1, det.constant_value()) for x in row) for row in adj)
+    moved = L.apply_basis_change(t, change)
+    assert moved.invariant_profile() == t.invariant_profile()
+    assert L.verify_isomorphism(t, moved, change).passed
+    # a row that is a multiple of another (or zero, in dim 1) makes it singular
+    i = data.draw(st.integers(min_value=0, max_value=t.dim - 1))
+    j = data.draw(st.integers(min_value=0, max_value=t.dim - 1).filter(lambda j: j != i or t.dim == 1))
+    scale = data.draw(small_rationals) if j != i else 0
+    rows = list(change.rows)
+    rows[i] = tuple(scale * x for x in rows[j])
+    singular = BasisChange(tuple(rows))
+    with pytest.raises(L.BasisChangeError, match="singular"):
+        singular.inverse_matrix()
+    with pytest.raises(L.BasisChangeError, match="singular"):
+        L.apply_basis_change(t, singular)

@@ -175,6 +175,80 @@ def test_profile_human_and_porcelain(capsys, tmp_path):
     assert any(line.startswith("compare\tsl2\tL_0_1_1\tDISTINGUISHED") for line in lines)
 
 
+SL2_PROFILE = """\
+  dim                   3
+  derived_dim           3
+  derived_series        3
+  lower_central_series  3
+  left_center_dim       0
+  right_center_dim      0
+  squares_ideal_dim     0
+"""
+L_POINT_PROFILE = """\
+  dim                   8
+  derived_dim           7
+  derived_series        8 7 6
+  lower_central_series  8 7
+  left_center_dim       0
+  right_center_dim      3
+  squares_ideal_dim     3
+"""
+SEPARATING = "dim,derived_dim,derived_series,lower_central_series,right_center_dim,squares_ideal_dim"
+
+
+def porcelain_profile(name, human):
+    return "".join(
+        "profile\t{}\t{}\t{}\n".format(name, *line.strip().split(None, 1))
+        for line in human.splitlines()
+    )
+
+
+def test_profile_output_is_pinned(capsys, tmp_path):
+    p1 = construct(capsys, tmp_path, "sl2")
+    p2 = construct(capsys, tmp_path, "Lfamily", "--l", "0", "--mu", "1", "--a", "1", filename="l011.alg")
+    p3 = construct(capsys, tmp_path, "Lfamily", "--l", "1", "--mu", "0", "--a", "1", filename="l101.alg")
+    _, out, _ = run(capsys, "profile", p1, p2)
+    assert out == (
+        f"table sl2 ({p1})\n" + SL2_PROFILE + f"table L_0_1_1 ({p2})\n" + L_POINT_PROFILE
+        + "sl2 vs L_0_1_1: DISTINGUISHED (" + SEPARATING.replace(",", ", ") + ")\n"
+    )
+    _, out, _ = run(capsys, "profile", p2, p3)
+    assert out == (
+        f"table L_0_1_1 ({p2})\n" + L_POINT_PROFILE + f"table L_1_0_1 ({p3})\n" + L_POINT_PROFILE
+        + "L_0_1_1 vs L_1_0_1: INCONCLUSIVE (computed invariants agree; "
+        "this does not assert an isomorphism)\n"
+    )
+    _, out, _ = run(capsys, "profile", p1, p2, "--porcelain")
+    assert out == (
+        porcelain_profile("sl2", SL2_PROFILE) + porcelain_profile("L_0_1_1", L_POINT_PROFILE)
+        + f"compare\tsl2\tL_0_1_1\tDISTINGUISHED\t{SEPARATING}\n"
+    )
+
+
+def test_profile_computes_each_profile_once(capsys, tmp_path, monkeypatch):
+    paths = [
+        construct(capsys, tmp_path, "sl2"),
+        construct(capsys, tmp_path, "Lfamily", "--l", "0", "--mu", "1", "--a", "1", filename="l011.alg"),
+        construct(capsys, tmp_path, "Lfamily", "--l", "1", "--mu", "0", "--a", "1", filename="l101.alg"),
+    ]
+    calls = []
+    original = L.AlgebraTable.invariant_profile
+
+    def counted(self):
+        calls.append(self.name)
+        return original(self)
+
+    monkeypatch.setattr(L.AlgebraTable, "invariant_profile", counted)
+    code, out, _ = run(capsys, "profile", *paths, "--porcelain")
+    assert code == 0
+    assert calls == ["sl2", "L_0_1_1", "L_1_0_1"]
+    assert out.splitlines()[-3:] == [
+        f"compare\tsl2\tL_0_1_1\tDISTINGUISHED\t{SEPARATING}",
+        f"compare\tsl2\tL_1_0_1\tDISTINGUISHED\t{SEPARATING}",
+        "compare\tL_0_1_1\tL_1_0_1\tINCONCLUSIVE\t",
+    ]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "leibnizalg", "construct", "r2"],

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import leibnizalg as L
 from leibnizalg.core import (
@@ -16,7 +16,7 @@ from leibnizalg.core import (
 )
 from leibnizalg.scalars import Poly
 
-from conftest import constant_fixture_tables
+from conftest import constant_fixture_tables, small_rationals, sparse_constant_tables
 
 
 def test_element_arithmetic():
@@ -343,3 +343,128 @@ def test_evaluate_table(prefamily):
     assert t == L.make_L_family(0, 1, 1)
     with pytest.raises(L.MissingParameterError):
         prefamily.evaluate({"l": 0})
+
+
+def test_submodule_closure_rejects_parametric_operator():
+    t = Poly.param("t")
+    op = mat_from_rows([[0, t], [0, 0]])
+    with pytest.raises(L.ParametricError, match="not constant"):
+        submodule_closure((op,), L.element_from([1, 0]))
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the dense row reduction and the Element-bracket loops
+# that the sparse Fraction kernel replaced, kept here to check it against
+
+
+def ref_rref(rows, ambient):
+    mat = [list(r) for r in rows if any(r)]
+    out, pivots = [], []
+    for col in range(ambient):
+        pivot_at = next((idx for idx, r in enumerate(mat) if r[col]), None)
+        if pivot_at is None:
+            continue
+        pivot_row = mat.pop(pivot_at)
+        inv = Fraction(1) / pivot_row[col]
+        pivot_row = [c * inv for c in pivot_row]
+        for rows_list in (out, mat):
+            for r in rows_list:
+                c = r[col]
+                if c:
+                    for k in range(ambient):
+                        r[k] -= c * pivot_row[k]
+        mat = [r for r in mat if any(r)]
+        out.append(pivot_row)
+        pivots.append(col)
+    return tuple(tuple(r) for r in out), tuple(pivots)
+
+
+def ref_span(vectors, ambient):
+    rows = [v.constant_coords() if isinstance(v, L.Element) else v for v in vectors]
+    return L.Subspace(ambient, *ref_rref(rows, ambient))
+
+
+def ref_product_span(t, left, right):
+    vectors = [t.bracket(u, v) for u in left.as_elements() for v in right.as_elements()]
+    return ref_span(vectors, t.dim)
+
+
+def ref_ideal_closure(t, seed):
+    current = seed
+    while True:
+        vectors = list(current.rows)
+        for el in current.as_elements():
+            for j in range(t.dim):
+                b = t.basis_element(j)
+                vectors += [t.bracket(el, b), t.bracket(b, el)]
+        nxt = ref_span(vectors, t.dim)
+        if nxt.dim == current.dim:
+            return current
+        current = nxt
+
+
+def ref_squares_ideal(t):
+    seed = [t.table[i][i] for i in range(t.dim)]
+    seed += [t.table[i][j] + t.table[j][i] for i in range(t.dim) for j in range(i + 1, t.dim)]
+    return ref_ideal_closure(t, ref_span(seed, t.dim))
+
+
+def ref_center_dim(t, side):
+    constraints = []
+    for j in range(t.dim):
+        for k in range(t.dim):
+            entries = [t.table[i][j] if side == "left" else t.table[j][i] for i in range(t.dim)]
+            constraints.append([e.coords[k].constant_value() for e in entries])
+    return t.dim - len(ref_rref(constraints, t.dim)[0])
+
+
+def ref_invariant_profile(t):
+    full = L.Subspace.full(t.dim)
+
+    def series(step):
+        dims, current = [t.dim], full
+        while True:
+            nxt = step(current)
+            if nxt.dim == current.dim:
+                return tuple(dims)
+            dims.append(nxt.dim)
+            current = nxt
+
+    derived = series(lambda s: ref_product_span(t, s, s))
+    lower = series(lambda s: ref_product_span(t, s, full))
+    return L.InvariantProfile(
+        dim=t.dim,
+        derived_dim=derived[1] if len(derived) > 1 else derived[0],
+        derived_series=derived,
+        lower_central_series=lower,
+        left_center_dim=ref_center_dim(t, "left"),
+        right_center_dim=ref_center_dim(t, "right"),
+        squares_ideal_dim=ref_squares_ideal(t).dim,
+    )
+
+
+def sparse_rows(ambient, max_rows=6):
+    entry = st.one_of(st.just(Fraction(0)), small_rationals)
+    return st.lists(st.lists(entry, min_size=ambient, max_size=ambient), max_size=max_rows)
+
+
+@given(st.integers(min_value=0, max_value=7).flatmap(lambda n: st.tuples(st.just(n), sparse_rows(n, 9))))
+def test_rref_matches_dense_reference(case):
+    ambient, rows = case
+    assert rref(rows, ambient) == ref_rref(rows, ambient)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_sparse_kernel_matches_reference(data):
+    t = data.draw(sparse_constant_tables())
+    left = ref_span(data.draw(sparse_rows(t.dim, 3)), t.dim)
+    right = ref_span(data.draw(sparse_rows(t.dim, 3)), t.dim)
+    assert t.product_span(left, right) == ref_product_span(t, left, right)
+    full = L.Subspace.full(t.dim)
+    assert t.product_span(full, full) == ref_product_span(t, full, full)
+    assert t.ideal_closure(left) == ref_ideal_closure(t, left)
+    assert t.squares_ideal() == ref_squares_ideal(t)
+    for side in ("left", "right"):
+        assert t._center_dim(side) == ref_center_dim(t, side)
+    assert t.invariant_profile() == ref_invariant_profile(t)
