@@ -36,11 +36,12 @@ from .core import (
     mat_from_rows,
     mat_identity,
     mat_mul,
+    scaled_residual,
     sparse,
     sparse_element,
 )
 from .errors import BasisChangeError, DimensionMismatchError, ParametricError
-from .scalars import Poly, as_poly, normalize_primitive, poly_sort_key
+from .scalars import Mono, Poly, as_poly, poly_sort_key, primitive_terms
 
 DISTINGUISHED = "DISTINGUISHED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -79,16 +80,30 @@ class ConstraintSet:
 
 
 def extract_constraints(t: AlgebraTable) -> ConstraintSet:
-    """Polynomial conditions equivalent to the Leibniz identity for t."""
-    found: set[Poly] = set()
+    """Polynomial conditions equivalent to the Leibniz identity for t.
+
+    Residuals are computed in integers on the scaled structure constants;
+    a primitive form ignores the scale, so each nonzero coordinate is made
+    primitive as it stands and only the distinct ones become Polys. Each
+    keeps its terms in the order the kernel produced them: printing sorts
+    them, and that sort is slower on terms in hash order.
+    """
+    _, rows = t.scaled_rows()
+    found: dict[frozenset[tuple[Mono, int]], dict[Mono, int]] = {}
     for i in range(t.dim):
+        row_i = rows[i]
         for j in range(t.dim):
+            ij = row_i[j]
+            row_j = rows[j]
             for k in range(t.dim):
-                residual = t.residual(i, j, k)
-                for poly in residual.coords:
-                    if poly:
-                        found.add(normalize_primitive(poly))
-    return ConstraintSet.of(found)
+                if not (ij or row_j[k] or row_i[k]):
+                    continue
+                for terms in scaled_residual(rows, i, j, k).values():
+                    prim = primitive_terms(terms)
+                    found.setdefault(frozenset(prim.items()), prim)
+    return ConstraintSet.of(
+        Poly({mono: Fraction(c) for mono, c in prim.items()}) for prim in found.values()
+    )
 
 
 @dataclass(frozen=True)

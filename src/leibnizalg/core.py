@@ -8,6 +8,10 @@ the bilinear extension of the table. The residual
 
 vanishes for all basis triples exactly when the table satisfies the
 (right) Leibniz identity; a Lie table additionally has [x, y] = -[y, x].
+On the Poly path (residual, and extract_constraints in analysis) it is
+computed in integers: AlgebraTable.scaled_rows multiplies every entry by
+the lcm D of the table's denominators and scaled_residual returns D^2 times
+the residual, with no Fraction or Poly arithmetic.
 
 Right multiplication operators R_a(v) = [v, a] are kept as matrices acting
 on coordinate columns (apply = M.v, composition = matrix product), so the
@@ -29,6 +33,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -37,7 +42,7 @@ from .errors import (
     NotAnIdealError,
     ParametricError,
 )
-from .scalars import ONE, ZERO, Poly, as_poly, format_term, _join_terms
+from .scalars import ONE, ZERO, Mono, Poly, as_poly, format_term, mono_mul, _join_terms
 
 Coeffish = Union[Poly, Fraction, int]
 Matrix = tuple[tuple[Poly, ...], ...]
@@ -45,6 +50,8 @@ Matrix = tuple[tuple[Poly, ...], ...]
 SparseVec = dict[int, Fraction]
 # constants()[i][j] lists the nonzero (k, coefficient) pairs of [b_i, b_j]
 Constants = list[list[list[tuple[int, Fraction]]]]
+# scaled_rows()[1][i][j] lists the nonzero (k, {monomial: integer}) of D*[b_i, b_j]
+ScaledRows = list[list[list[tuple[int, dict[Mono, int]]]]]
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -300,19 +307,17 @@ def mat_from_rows(rows: Sequence[Sequence[Coeffish]]) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, mid, m = len(a), len(b), len(b[0]) if b else 0
+    """a.b, summing only over the nonzero entries of a's rows and b's rows."""
+    m = len(b[0]) if b else 0
+    b_rows = [[(j, x) for j, x in enumerate(row) if x] for row in b]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = ZERO
-            for k in range(mid):
-                aik = a[i][k]
-                bkj = b[k][j]
-                if aik and bkj:
-                    acc = acc + aik * bkj
-            row.append(acc)
-        out.append(tuple(row))
+    for row in a:
+        acc: dict[int, Poly] = {}
+        for k, aik in enumerate(row):
+            if aik:
+                for j, bkj in b_rows[k]:
+                    acc[j] = acc.get(j, ZERO) + aik * bkj
+        out.append(tuple(acc.get(j, ZERO) for j in range(m)))
     return tuple(out)
 
 
@@ -383,6 +388,29 @@ def inverse_constant(m: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, .
         return None
     rows = ech.reduced()
     return tuple(tuple(rows[i].get(n + j, _F0) for j in range(n)) for i in range(n))
+
+
+def scaled_residual(rows: ScaledRows, i: int, j: int, k: int) -> dict[int, dict[Mono, int]]:
+    """The nonzero coordinates of D^2*r(b_i, b_j, b_k), in integers.
+
+    rows are the scaled structure constants D*[b_i, b_j] of
+    AlgebraTable.scaled_rows. Every term of the residual is a product of two
+    table entries, so scaling each entry by D scales the residual by D^2.
+    """
+    row_i = rows[i]
+    pairs = [(c, row_i[l]) for l, c in rows[j][k]]
+    pairs += [({mono: -x for mono, x in c.items()}, rows[l][k]) for l, c in row_i[j]]
+    pairs += [(c, rows[l][j]) for l, c in row_i[k]]
+    acc: dict[int, dict[Mono, int]] = {}
+    for c, entry in pairs:
+        for m, e in entry:
+            out = acc.setdefault(m, {})
+            for m1, x in c.items():
+                for m2, y in e.items():
+                    mono = mono_mul(m1, m2)
+                    out[mono] = out.get(mono, 0) + x * y
+    nonzero = ((m, {mono: x for mono, x in out.items() if x}) for m, out in acc.items())
+    return {m: terms for m, terms in nonzero if terms}
 
 
 def submodule_closure(ops: Sequence[Matrix], seed: Element) -> Subspace:
@@ -514,11 +542,12 @@ class AlgebraTable:
                 if entry.dim != self.dim:
                     raise DimensionMismatchError("table entry has wrong dimension")
                 for poly in entry.coords:
-                    extra = poly.parameters() - allowed
-                    if extra:
-                        raise DimensionMismatchError(
-                            f"undeclared parameters in table entry: {sorted(extra)}"
-                        )
+                    for mono in poly.terms:
+                        if mono and not allowed.issuperset(name for name, _ in mono):
+                            extra = poly.parameters() - allowed
+                            raise DimensionMismatchError(
+                                f"undeclared parameters in table entry: {sorted(extra)}"
+                            )
 
     @classmethod
     def from_products(
@@ -614,36 +643,37 @@ class AlgebraTable:
                         acc[k] = acc[k] + scale * ck
         return Element(tuple(acc))
 
-    def _bracket_basis_left(self, i: int, w: Element) -> Element:
-        """[b_i, w] for an element w."""
-        acc = [ZERO] * self.dim
-        for l, c in enumerate(w.coords):
-            if not c:
-                continue
-            entry = self.table[i][l]
-            for k, ck in enumerate(entry.coords):
-                if ck:
-                    acc[k] = acc[k] + c * ck
-        return Element(tuple(acc))
-
-    def _bracket_basis_right(self, w: Element, j: int) -> Element:
-        """[w, b_j] for an element w."""
-        acc = [ZERO] * self.dim
-        for l, c in enumerate(w.coords):
-            if not c:
-                continue
-            entry = self.table[l][j]
-            for k, ck in enumerate(entry.coords):
-                if ck:
-                    acc[k] = acc[k] + c * ck
-        return Element(tuple(acc))
+    def scaled_rows(self) -> tuple[int, ScaledRows]:
+        """(D, rows): D is the lcm of every coefficient denominator in the
+        table and rows[i][j] lists the nonzero (k, {monomial: integer})
+        coordinates of D*[b_i, b_j]. Built afresh on every call."""
+        d = lcm(*{
+            c.denominator
+            for row in self.table
+            for entry in row
+            for poly in entry.coords
+            for c in poly.terms.values()
+        })
+        rows = [
+            [
+                [
+                    (k, {mono: c.numerator * (d // c.denominator) for mono, c in poly.terms.items()})
+                    for k, poly in enumerate(entry.coords)
+                    if poly
+                ]
+                for entry in row
+            ]
+            for row in self.table
+        ]
+        return d, rows
 
     def residual(self, i: int, j: int, k: int) -> Element:
         """r(b_i, b_j, b_k) = [b_i,[b_j,b_k]] - [[b_i,b_j],b_k] + [[b_i,b_k],b_j]."""
-        t1 = self._bracket_basis_left(i, self.table[j][k])
-        t2 = self._bracket_basis_right(self.table[i][j], k)
-        t3 = self._bracket_basis_right(self.table[i][k], j)
-        return t1 - t2 + t3
+        d, rows = self.scaled_rows()
+        coords = [ZERO] * self.dim
+        for m, terms in scaled_residual(rows, i, j, k).items():
+            coords[m] = Poly({mono: Fraction(c, d * d) for mono, c in terms.items()})
+        return Element(tuple(coords))
 
     def constants(self) -> Constants:
         """Sparse structure constants, built on the first call and kept.
@@ -754,15 +784,11 @@ class AlgebraTable:
                         for m, d in rows[l][j]:
                             acc[m] = acc.get(m, _F0) + c * d
                     if any(acc.values()):
-                        jac = (
-                            self._bracket_basis_right(self.table[i][j], k)
-                            + self._bracket_basis_right(self.table[j][k], i)
-                            + self._bracket_basis_right(self.table[k][i], j)
-                        )
+                        # on an antisymmetric table the Jacobi sum is -r(b_i, b_j, b_k)
                         return Verdict(
                             FAIL,
                             witness=(self.basis[i], self.basis[j], self.basis[k]),
-                            residual=jac,
+                            residual=-self.residual(i, j, k),
                             detail="Jacobi identity fails",
                         )
         return Verdict(PASS)

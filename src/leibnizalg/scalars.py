@@ -281,6 +281,16 @@ def as_poly(value: Coeffish) -> Poly:
     return Poly.const(value)
 
 
+def primitive_terms(terms: Mapping[Mono, int]) -> dict[Mono, int]:
+    """Integer terms divided by their gcd, the sign fixed so that the first
+    coefficient in canonical (ascending) term order is positive. terms holds
+    no zero coefficient and is not empty."""
+    g = gcd(*terms.values())
+    if terms[min(terms, key=MONO_KEY)] < 0:
+        g = -g
+    return {mono: c // g for mono, c in terms.items()}
+
+
 def normalize_primitive(p: Poly) -> Poly:
     """Divide by the rational content and fix the sign.
 
@@ -289,14 +299,9 @@ def normalize_primitive(p: Poly) -> Poly:
     """
     if not p:
         raise ValueError("cannot normalize the zero polynomial")
-    nums = [c.numerator for c in p.terms.values()]
-    dens = [c.denominator for c in p.terms.values()]
-    content = Fraction(gcd(*nums), lcm(*dens))
-    scaled = {mono: coeff / content for mono, coeff in p.terms.items()}
-    lead_mono = min(scaled, key=MONO_KEY)
-    if scaled[lead_mono] < 0:
-        scaled = {mono: -coeff for mono, coeff in scaled.items()}
-    return Poly(scaled)
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    scaled = {mono: c.numerator * (d // c.denominator) for mono, c in p.terms.items()}
+    return Poly({mono: Fraction(c) for mono, c in primitive_terms(scaled).items()})
 
 
 def poly_sort_key(p: Poly):

@@ -131,3 +131,79 @@ def invertible_changes(draw, dim: int) -> L.BasisChange:
             rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
     perm = draw(st.permutations(range(dim)))
     return L.BasisChange.from_rows([rows[p] for p in perm])
+
+
+wide_rationals = st.builds(
+    Fraction, st.integers(min_value=-12, max_value=12).filter(bool), st.integers(min_value=1, max_value=12)
+)
+
+
+@st.composite
+def rational_polys(draw, params: tuple[str, ...]) -> L.Poly:
+    """A nonzero Poly in params: one to four terms, rational coefficients
+    with denominators up to 12, each exponent up to 2."""
+    exponents = st.lists(st.integers(min_value=0, max_value=2), min_size=len(params), max_size=len(params))
+    terms = draw(st.lists(st.tuples(exponents, wide_rationals), min_size=1, max_size=4))
+    p = L.Poly.from_terms(
+        (tuple((n, e) for n, e in zip(params, exps) if e), c) for exps, c in terms
+    )
+    return p if p else L.Poly.const(draw(wide_rationals))
+
+
+@st.composite
+def parametric_tables(draw) -> L.AlgebraTable:
+    """A random sparse table of dim <= 5 over one to three parameters;
+    not Leibniz in general, only well-formed."""
+    params = tuple(f"p{i}" for i in range(draw(st.integers(min_value=1, max_value=3))))
+    dim = draw(st.integers(min_value=1, max_value=5))
+    basis = tuple(f"b{i}" for i in range(dim))
+    index = st.integers(min_value=0, max_value=dim - 1)
+    products = draw(st.dictionaries(
+        st.tuples(index, index),
+        st.dictionaries(index, rational_polys(params), min_size=1, max_size=2),
+        max_size=2 * dim,
+    ))
+    named = {
+        (basis[i], basis[j]): {basis[k]: c for k, c in coords.items()}
+        for (i, j), coords in products.items()
+    }
+    return L.AlgebraTable.from_products("random_parametric", basis, named, params=params)
+
+
+# ---------------------------------------------------------------------------
+# reference residual: the dense Element loop that the scaled integer kernel
+# replaced, kept here to check it against
+
+
+def ref_bracket_basis_left(t: L.AlgebraTable, i: int, w: L.Element) -> L.Element:
+    """[b_i, w] for an element w."""
+    acc = [L.ZERO] * t.dim
+    for l, c in enumerate(w.coords):
+        if not c:
+            continue
+        entry = t.table[i][l]
+        for k, ck in enumerate(entry.coords):
+            if ck:
+                acc[k] = acc[k] + c * ck
+    return L.Element(tuple(acc))
+
+
+def ref_bracket_basis_right(t: L.AlgebraTable, w: L.Element, j: int) -> L.Element:
+    """[w, b_j] for an element w."""
+    acc = [L.ZERO] * t.dim
+    for l, c in enumerate(w.coords):
+        if not c:
+            continue
+        entry = t.table[l][j]
+        for k, ck in enumerate(entry.coords):
+            if ck:
+                acc[k] = acc[k] + c * ck
+    return L.Element(tuple(acc))
+
+
+def ref_residual(t: L.AlgebraTable, i: int, j: int, k: int) -> L.Element:
+    """r(b_i, b_j, b_k) = [b_i,[b_j,b_k]] - [[b_i,b_j],b_k] + [[b_i,b_k],b_j]."""
+    t1 = ref_bracket_basis_left(t, i, t.table[j][k])
+    t2 = ref_bracket_basis_right(t, t.table[i][j], k)
+    t3 = ref_bracket_basis_right(t, t.table[i][k], j)
+    return t1 - t2 + t3

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +8,16 @@ from hypothesis import given, settings, strategies as st
 import leibnizalg as L
 from leibnizalg.analysis import BasisChange
 from leibnizalg.core import det_and_adjugate, mat_identity, mat_mul
-from leibnizalg.scalars import Poly
+from leibnizalg.scalars import MONO_KEY, Poly, normalize_primitive
 
-from conftest import invertible_changes, small_rationals, sparse_constant_tables
+from conftest import (
+    invertible_changes,
+    parametric_tables,
+    rational_polys,
+    ref_residual,
+    small_rationals,
+    sparse_constant_tables,
+)
 
 LAM, A, B = Poly.param("l"), Poly.param("a"), Poly.param("b")
 
@@ -195,3 +203,53 @@ def test_constant_change_metamorphic(data):
         singular.inverse_matrix()
     with pytest.raises(L.BasisChangeError, match="singular"):
         L.apply_basis_change(t, singular)
+
+
+# ---------------------------------------------------------------------------
+# reference constraint extraction: the dense residual loop and the Fraction
+# normalization that the scaled integer kernel replaced
+
+
+def ref_normalize_primitive(p):
+    nums = [c.numerator for c in p.terms.values()]
+    dens = [c.denominator for c in p.terms.values()]
+    content = Fraction(gcd(*nums), lcm(*dens))
+    scaled = {mono: coeff / content for mono, coeff in p.terms.items()}
+    lead_mono = min(scaled, key=MONO_KEY)
+    if scaled[lead_mono] < 0:
+        scaled = {mono: -coeff for mono, coeff in scaled.items()}
+    return Poly(scaled)
+
+
+def ref_extract_constraints(t):
+    found = set()
+    for i in range(t.dim):
+        for j in range(t.dim):
+            for k in range(t.dim):
+                for poly in ref_residual(t, i, j, k).coords:
+                    if poly:
+                        found.add(ref_normalize_primitive(poly))
+    return L.ConstraintSet.of(found)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_scaled_kernel_matches_dense_reference(data):
+    t = data.draw(parametric_tables())
+    got, want = L.extract_constraints(t), ref_extract_constraints(t)
+    assert got == want
+    assert [str(p) for p in got] == [str(p) for p in want]
+    for p in got:
+        assert all(type(c) is Fraction for c in p.terms.values())
+    index = st.integers(min_value=0, max_value=t.dim - 1)
+    for i, j, k in data.draw(st.lists(st.tuples(index, index, index), min_size=1, max_size=6)):
+        assert t.residual(i, j, k) == ref_residual(t, i, j, k)
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: rational_polys(tuple(f"p{i}" for i in range(n)))
+))
+def test_normalize_primitive_matches_reference(p):
+    got = normalize_primitive(p)
+    assert got == ref_normalize_primitive(p)
+    assert all(type(c) is Fraction for c in got.terms.values())

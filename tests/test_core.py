@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,13 @@ from leibnizalg.core import (
 )
 from leibnizalg.scalars import Poly
 
-from conftest import constant_fixture_tables, small_rationals, sparse_constant_tables
+from conftest import (
+    constant_fixture_tables,
+    rational_polys,
+    ref_residual,
+    small_rationals,
+    sparse_constant_tables,
+)
 
 
 def test_element_arithmetic():
@@ -117,6 +124,78 @@ def test_check_lie_jacobi_witness():
     assert "Jacobi" in verdict.detail
     assert verdict.witness == ("u", "v", "w")
     assert t.format_element(verdict.residual) == "v"
+    assert verdict.residual == jacobi_by_hand(t, 0, 1, 2)
+
+
+def jacobi_by_hand(t, i, j, k):
+    """[[x,y],z] + [[y,z],x] + [[z,x],y] for basis vectors x, y, z."""
+    x, y, z = (t.basis_element(n) for n in (i, j, k))
+    return (
+        t.bracket(t.bracket(x, y), z)
+        + t.bracket(t.bracket(y, z), x)
+        + t.bracket(t.bracket(z, x), y)
+    )
+
+
+def test_check_lie_jacobi_witness_with_fractions():
+    # antisymmetric, Jacobi fails first at (u, v, w) on two coordinates
+    products = {
+        ("u", "v"): {"v": Fraction(1, 2), "w": 3},
+        ("v", "w"): {"u": Fraction(-2, 3), "w": 1},
+        ("w", "u"): {"u": 5, "v": Fraction(1, 4)},
+    }
+    for (a, b), coords in list(products.items()):
+        products[(b, a)] = {s: -c for s, c in coords.items()}
+    t = L.AlgebraTable.from_products("notjacobi2", ("u", "v", "w"), products)
+    verdict = t.check_lie()
+    assert not verdict.passed
+    assert "Jacobi" in verdict.detail
+    assert verdict.witness == ("u", "v", "w")
+    assert verdict.residual == jacobi_by_hand(t, 0, 1, 2)
+    assert t.format_element(verdict.residual) == "14/3*u + 11/4*v + 31/2*w"
+
+
+@st.composite
+def antisymmetric_tables(draw):
+    """A random antisymmetric constant table of dim <= 5, rarely Lie."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    basis = tuple(f"b{i}" for i in range(dim))
+    index = st.integers(min_value=0, max_value=dim - 1)
+    pairs = st.tuples(index, index).filter(lambda p: p[0] < p[1])
+    upper = draw(st.dictionaries(pairs, st.dictionaries(index, small_rationals, min_size=1, max_size=2)))
+    products = {}
+    for (i, j), coords in upper.items():
+        products[(basis[i], basis[j])] = {basis[k]: c for k, c in coords.items()}
+        products[(basis[j], basis[i])] = {basis[k]: -c for k, c in coords.items()}
+    return L.AlgebraTable.from_products("random_antisymmetric", basis, products)
+
+
+def first_nonzero(triples, value):
+    return next(((ijk, v) for ijk in triples if not (v := value(*ijk)).is_zero()), (None, None))
+
+
+@settings(deadline=None, max_examples=60)
+@given(antisymmetric_tables())
+def test_check_lie_matches_jacobi_reference(t):
+    triples = itertools.product(range(t.dim), repeat=3)
+    first, jac = first_nonzero(triples, lambda i, j, k: jacobi_by_hand(t, i, j, k))
+    verdict = t.check_lie()
+    assert verdict.passed == (first is None)
+    if first is not None:
+        assert verdict.witness == tuple(t.basis[n] for n in first)
+        assert verdict.residual == jac
+
+
+@settings(deadline=None, max_examples=60)
+@given(sparse_constant_tables())
+def test_check_leibniz_matches_residual_reference(t):
+    triples = itertools.product(range(t.dim), repeat=3)
+    first, residual = first_nonzero(triples, lambda i, j, k: ref_residual(t, i, j, k))
+    verdict = t.check_leibniz()
+    assert verdict.passed == (first is None)
+    if first is not None:
+        assert verdict.witness == tuple(t.basis[n] for n in first)
+        assert verdict.residual == residual
 
 
 def test_check_leibniz_parametric_raises(prefamily):
@@ -281,6 +360,34 @@ def test_det_and_adjugate_matches_elimination():
                     assert prod[i][j] == (det if i == j else 0)
 
 
+def ref_mat_mul(a, b):
+    n, mid, m = len(a), len(b), len(b[0]) if b else 0
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = L.ZERO
+            for k in range(mid):
+                if a[i][k] and b[k][j]:
+                    acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def sparse_matrices(n, m):
+    entry = st.one_of(st.just(L.ZERO), st.just(L.ZERO), rational_polys(("p", "q")))
+    return st.lists(st.tuples(*[entry] * m), min_size=n, max_size=n).map(tuple)
+
+
+@given(st.tuples(*[st.integers(min_value=0, max_value=4)] * 3).flatmap(
+    lambda s: st.tuples(sparse_matrices(s[0], s[1]), sparse_matrices(s[1], s[2]))
+))
+def test_mat_mul_matches_dense_reference(pair):
+    a, b = pair
+    assert mat_mul(a, b) == ref_mat_mul(a, b)
+
+
 def test_det_and_adjugate_parametric():
     b = Poly.param("b")
     m = mat_from_rows([[1, b], [0, 1]])
@@ -334,6 +441,28 @@ def test_from_products_validation():
     with pytest.raises(L.AlgebraError):
         # undeclared parameter in an entry
         L.AlgebraTable.from_products("bad", ("a",), {("a", "a"): {"a": Poly.param("t")}})
+
+
+def test_undeclared_parameter_in_one_entry():
+    s, t = Poly.param("s"), Poly.param("t")
+    sl2 = L.make_sl2()
+    products = {
+        (sl2.basis[i], sl2.basis[j]): {sl2.basis[k]: c for k, c in enumerate(sl2.table[i][j].coords) if c}
+        for i in range(3)
+        for j in range(3)
+    }
+    products[("f", "f")] = {"h": 2 + s * t * t}
+    with pytest.raises(L.DimensionMismatchError) as err:
+        L.AlgebraTable.from_products("bad", sl2.basis, products)
+    assert str(err.value) == "undeclared parameters in table entry: ['s', 't']"
+    # declared names pass; only the undeclared ones are named
+    assert L.AlgebraTable.from_products("ok", sl2.basis, products, params=("s", "t")).is_parametric()
+    with pytest.raises(L.DimensionMismatchError) as err:
+        L.AlgebraTable.from_products("bad", sl2.basis, products, params=("s",))
+    assert str(err.value) == "undeclared parameters in table entry: ['t']"
+    with pytest.raises(L.DimensionMismatchError) as err:
+        L.AlgebraTable.from_products("bad", sl2.basis, products, params=("t",))
+    assert str(err.value) == "undeclared parameters in table entry: ['s']"
 
 
 def test_evaluate_table(prefamily):
