@@ -26,10 +26,9 @@ positioned error. Files are UTF-8, newline-terminated.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import AlgebraTable, Element, Matrix, format_element, zero_element
+from .core import AlgebraTable, Element, Matrix, Record, format_element, zero_element
 from .errors import DimensionMismatchError, ParseError
 from .scalars import ONE, ZERO, Poly, mono_mul
 
@@ -145,15 +144,10 @@ def _parse_names(rest: list[str], what: str, lineno: int) -> tuple[str, ...]:
     return tuple(rest)
 
 
-@dataclass(frozen=True)
-class _Header:
-    name: str
-    dim: int
-    params: tuple[str, ...]
-    basis: tuple[str, ...]
-
-
-def _parse_header(lines: list[tuple[int, str]], kind: str) -> tuple[_Header, list[tuple[int, str]]]:
+def _parse_header(
+    lines: list[tuple[int, str]], kind: str
+) -> tuple[tuple[str, int, tuple[str, ...], tuple[str, ...]], list[tuple[int, str]]]:
+    """((name, dim, params, basis), the remaining lines) of a document."""
     it = iter(lines)
 
     def next_line(expect: str) -> tuple[int, list[str]]:
@@ -184,7 +178,7 @@ def _parse_header(lines: list[tuple[int, str]], kind: str) -> tuple[_Header, lis
     clash = set(params) & set(basis)
     if clash:
         raise ParseError(lineno, f"parameters clash with basis symbols: {sorted(clash)}")
-    return _Header(name, dim, params, basis), list(it)
+    return (name, dim, params, basis), list(it)
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -198,11 +192,9 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 def parse_algebra(text: str) -> AlgebraTable:
     """Parse an .alg document into a table."""
-    header, body = _parse_header(_content_lines(text), "algebra")
-    index = {b: i for i, b in enumerate(header.basis)}
-    rows: list[list[Element]] = [
-        [zero_element(header.dim)] * header.dim for _ in range(header.dim)
-    ]
+    (name, dim, params, basis), body = _parse_header(_content_lines(text), "algebra")
+    index = {b: i for i, b in enumerate(basis)}
+    rows: list[list[Element]] = [[zero_element(dim)] * dim for _ in range(dim)]
     seen: set[tuple[str, str]] = set()
     for lineno, line in body:
         squeezed = re.sub(r"\s+", "", line)
@@ -216,10 +208,8 @@ def parse_algebra(text: str) -> AlgebraTable:
         if (left, right) in seen:
             raise ParseError(lineno, f"duplicate product [{left},{right}]")
         seen.add((left, right))
-        rows[index[left]][index[right]] = _parse_element(expr, header.params, header.basis, lineno)
-    return AlgebraTable(
-        header.name, header.dim, header.params, header.basis, tuple(tuple(r) for r in rows)
-    )
+        rows[index[left]][index[right]] = _parse_element(expr, params, basis, lineno)
+    return AlgebraTable(name, dim, params, basis, tuple(tuple(r) for r in rows))
 
 
 def serialize_algebra(t: AlgebraTable) -> str:
@@ -236,15 +226,20 @@ def serialize_algebra(t: AlgebraTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ChangeDocument:
+class ChangeDocument(Record):
     """A parsed change-of-basis file: new basis rows in old coordinates."""
 
-    name: str
-    dim: int
-    params: tuple[str, ...]
-    basis: tuple[str, ...]
-    assignments: dict[str, Element]
+    __slots__ = ("name", "dim", "params", "basis", "assignments")
+
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        params: tuple[str, ...],
+        basis: tuple[str, ...],
+        assignments: dict[str, Element],
+    ):
+        self._fill(name, dim, params, basis, assignments)
 
     def matrix(self) -> Matrix:
         """Rows of the change: assignment row if given, identity otherwise."""
@@ -266,16 +261,16 @@ class ChangeDocument:
 
 def parse_change(text: str) -> ChangeDocument:
     """Parse a change-of-basis document (`change` header plus `new` lines)."""
-    header, body = _parse_header(_content_lines(text), "change")
+    (name, dim, params, basis), body = _parse_header(_content_lines(text), "change")
     assignments: dict[str, Element] = {}
     for lineno, line in body:
         m = _NEW_RE.match(line)
         if not m:
             raise ParseError(lineno, f"expected `new NAME = EXPR`, got {line!r}")
         symbol, expr = m.group(1), m.group(2)
-        if symbol not in header.basis:
+        if symbol not in basis:
             raise ParseError(lineno, f"unknown basis symbol {symbol!r}")
         if symbol in assignments:
             raise ParseError(lineno, f"duplicate `new {symbol}` line")
-        assignments[symbol] = _parse_element(expr, header.params, header.basis, lineno)
-    return ChangeDocument(header.name, header.dim, header.params, header.basis, assignments)
+        assignments[symbol] = _parse_element(expr, params, basis, lineno)
+    return ChangeDocument(name, dim, params, basis, assignments)

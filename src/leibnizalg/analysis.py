@@ -18,7 +18,6 @@ followed by coords_new = w . C^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -29,6 +28,7 @@ from .core import (
     InvariantProfile,
     Matrix,
     PASS,
+    Record,
     Verdict,
     det_and_adjugate,
     inverse_constant,
@@ -49,11 +49,13 @@ INCONCLUSIVE = "INCONCLUSIVE"
 _SINGULAR = "change of basis is singular (determinant 0)"
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(Record):
     """A set of primitive normalized polynomials with set semantics."""
 
-    polys: frozenset[Poly]
+    __slots__ = ("polys",)
+
+    def __init__(self, polys: frozenset[Poly]):
+        self._fill(polys)
 
     @classmethod
     def of(cls, items: Iterable[Poly]) -> "ConstraintSet":
@@ -106,11 +108,13 @@ def extract_constraints(t: AlgebraTable) -> ConstraintSet:
     )
 
 
-@dataclass(frozen=True)
-class BasisChange:
+class BasisChange(Record):
     """New basis in old coordinates, one row per new basis vector."""
 
-    rows: Matrix
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Matrix):
+        self._fill(rows)
 
     @classmethod
     def identity(cls, dim: int) -> "BasisChange":
@@ -266,14 +270,15 @@ def verify_isomorphism(t1: AlgebraTable, t2: AlgebraTable, change: BasisChange) 
     return Verdict(PASS)
 
 
-@dataclass(frozen=True)
-class ProfileReport:
+class ProfileReport(Record):
     """Outcome of comparing two invariant profiles."""
 
-    status: str
-    left: InvariantProfile
-    right: InvariantProfile
-    separating: tuple[str, ...]
+    __slots__ = ("status", "left", "right", "separating")
+
+    def __init__(
+        self, status: str, left: InvariantProfile, right: InvariantProfile, separating: tuple[str, ...]
+    ):
+        self._fill(status, left, right, separating)
 
     @property
     def distinguished(self) -> bool:

@@ -4,6 +4,10 @@ Exit codes: 0 for success or PASS, 1 for a mathematical FAIL (an identity
 or isomorphism check that ran fine and answered no), 2 for usage, parse,
 parametric-input and admissibility errors. Reports are plain text; pass
 --porcelain for stable tab-separated key/value lines.
+
+Every command parses or writes .alg text, so algfile and core load with this
+module; analysis and constructions are imported by the commands that use
+them, which keeps the start-up of `check`, `ideal` and `quotient` small.
 """
 
 from __future__ import annotations
@@ -11,33 +15,31 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
-from . import analysis, constructions
 from .algfile import parse_algebra, parse_change, serialize_algebra
-from .analysis import BasisChange
 from .core import AlgebraTable, format_element
 from .errors import AlgebraError
 
 
-def _read_table(path: str) -> AlgebraTable:
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise AlgebraError(f"cannot read {path}: {exc}") from exc
-    return parse_algebra(text)
 
 
-def _read_change(path: str, t: AlgebraTable) -> BasisChange:
+def _read_table(path: str) -> AlgebraTable:
+    return parse_algebra(_read(path))
+
+
+def _read_change(path: str, t: AlgebraTable):
+    from .analysis import BasisChange
+
     if path == "identity":
         return BasisChange.identity(t.dim)
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise AlgebraError(f"cannot read {path}: {exc}") from exc
-    doc = parse_change(text)
-    return BasisChange(doc.matrix_for(t))
+    return BasisChange(parse_change(_read(path)).matrix_for(t))
 
 
 def _rational(text: str) -> Fraction:
@@ -72,75 +74,75 @@ def _cmd_check(args) -> int:
     return _print_verdict(t.check_leibniz(), t, args.porcelain, "the Leibniz identity")
 
 
-_CONSTRUCTORS = {
-    "sl2": "the split simple Lie algebra on (e, h, f)",
-    "r2": "the solvable Lie algebra on (y1, y2)",
-    "abelian": "an abelian algebra (--dim N)",
-    "direct-sum": "block sum of two named constant constructors",
-    "dzhumadildaev": "sl2 with the weight-m module adjoined (--m M)",
-    "module-ext": "the (m+6)-dim family with y2 scaling the module (--m M --a A)",
-    "generic": "the symbolic ansatz family (--m M [--sl2-r-products] [--sl2-defects])",
-    "prefamily": "the eight-dim four-parameter family over the weight-2 module",
-    "Lfamily": "L(l, mu, a), admissible when l*(1-a) = 0 (--l --mu --a)",
-}
+def _dzhumadildaev(c, ns):
+    names, e, f, h = c.make_sl2_module(ns.m)
+    return c.make_dzhumadildaev(c.make_sl2(), names, {"e": e, "f": f, "h": h})
 
-_NULLARY = {
-    "sl2": constructions.make_sl2,
-    "r2": constructions.make_r2,
-    "prefamily": constructions.make_L_prefamily,
+
+def _generic(c, ns):
+    spec = c.FamilySpec(
+        ns.m, include_sl2_R_products=ns.sl2_r_products, include_sl2_defects=ns.sl2_defects
+    )
+    return c.make_generic_family(spec)
+
+
+_INT = {"type": int, "required": True}
+_RATIONAL = {"type": _rational, "required": True}
+_FLAG = {"action": "store_true"}
+
+# name -> (help, arguments for add_argument, builder). A builder receives the
+# constructions module and the parsed arguments, and looks up its make_*
+# function when called, so only `construct` imports constructions.
+_CONSTRUCTORS = {
+    "sl2": ("the split simple Lie algebra on (e, h, f)", (), lambda c, ns: c.make_sl2()),
+    "r2": ("the solvable Lie algebra on (y1, y2)", (), lambda c, ns: c.make_r2()),
+    "abelian": ("an abelian algebra (--dim N)", (("--dim", _INT),), lambda c, ns: c.make_abelian(ns.dim)),
+    "dzhumadildaev": ("sl2 with the weight-m module adjoined (--m M)", (("--m", _INT),), _dzhumadildaev),
+    "module-ext": (
+        "the (m+6)-dim family with y2 scaling the module (--m M --a A)",
+        (("--m", _INT), ("--a", {"type": _rational, "default": Fraction(0)})),
+        lambda c, ns: c.make_module_extension(ns.m, ns.a),
+    ),
+    "generic": (
+        "the symbolic ansatz family (--m M [--sl2-r-products] [--sl2-defects])",
+        (("--m", _INT), ("--sl2-r-products", _FLAG), ("--sl2-defects", _FLAG)),
+        _generic,
+    ),
+    "prefamily": (
+        "the eight-dim four-parameter family over the weight-2 module",
+        (),
+        lambda c, ns: c.make_L_prefamily(),
+    ),
+    "Lfamily": (
+        "L(l, mu, a), admissible when l*(1-a) = 0 (--l --mu --a)",
+        (("--l", _RATIONAL), ("--mu", _RATIONAL), ("--a", _RATIONAL)),
+        lambda c, ns: c.make_L_family(ns.l, ns.mu, ns.a),
+    ),
 }
+# the summands direct-sum accepts: the constructors that take no arguments
+_NULLARY = sorted(name for name, (_, spec, _) in _CONSTRUCTORS.items() if not spec)
+_CONSTRUCTORS["direct-sum"] = (
+    "block sum of two named constant constructors",
+    (("left", {"choices": _NULLARY}), ("right", {"choices": _NULLARY})),
+    lambda c, ns: c.make_direct_sum(
+        _CONSTRUCTORS[ns.left][2](c, ns), _CONSTRUCTORS[ns.right][2](c, ns)
+    ),
+)
 
 
 def _cmd_construct(args) -> int:
     name = args.name
-    rest = args.args
-    sub = argparse.ArgumentParser(prog=f"leibnizalg construct {name}", add_help=True)
-    if name in _NULLARY:
-        sub.parse_args(rest)
-        table = _NULLARY[name]()
-    elif name == "abelian":
-        sub.add_argument("--dim", type=int, required=True)
-        ns = sub.parse_args(rest)
-        table = constructions.make_abelian(ns.dim)
-    elif name == "direct-sum":
-        sub.add_argument("left", choices=sorted(_NULLARY))
-        sub.add_argument("right", choices=sorted(_NULLARY))
-        ns = sub.parse_args(rest)
-        table = constructions.make_direct_sum(_NULLARY[ns.left](), _NULLARY[ns.right]())
-    elif name == "dzhumadildaev":
-        sub.add_argument("--m", type=int, required=True)
-        ns = sub.parse_args(rest)
-        names, e, f, h = constructions.make_sl2_module(ns.m)
-        table = constructions.make_dzhumadildaev(
-            constructions.make_sl2(), names, {"e": e, "f": f, "h": h}
-        )
-    elif name == "module-ext":
-        sub.add_argument("--m", type=int, required=True)
-        sub.add_argument("--a", type=_rational, default=Fraction(0))
-        ns = sub.parse_args(rest)
-        table = constructions.make_module_extension(ns.m, ns.a)
-    elif name == "generic":
-        sub.add_argument("--m", type=int, required=True)
-        sub.add_argument("--sl2-r-products", action="store_true")
-        sub.add_argument("--sl2-defects", action="store_true")
-        ns = sub.parse_args(rest)
-        table = constructions.make_generic_family(
-            constructions.FamilySpec(
-                ns.m,
-                include_sl2_R_products=ns.sl2_r_products,
-                include_sl2_defects=ns.sl2_defects,
-            )
-        )
-    elif name == "Lfamily":
-        sub.add_argument("--l", type=_rational, required=True)
-        sub.add_argument("--mu", type=_rational, required=True)
-        sub.add_argument("--a", type=_rational, required=True)
-        ns = sub.parse_args(rest)
-        table = constructions.make_L_family(ns.l, ns.mu, ns.a)
-    else:
-        known = "\n  ".join(f"{k}: {v}" for k, v in sorted(_CONSTRUCTORS.items()))
+    if name not in _CONSTRUCTORS:
+        known = "\n  ".join(f"{k}: {text}" for k, (text, _, _) in sorted(_CONSTRUCTORS.items()))
         print(f"error: unknown constructor {name!r}; known constructors:\n  {known}", file=sys.stderr)
         return 2
+    from . import constructions
+
+    _, spec, build = _CONSTRUCTORS[name]
+    sub = argparse.ArgumentParser(prog=f"leibnizalg construct {name}", add_help=True)
+    for flag, options in spec:
+        sub.add_argument(flag, **options)
+    table = build(constructions, sub.parse_args(args.args))
     sys.stdout.write(serialize_algebra(table))
     return 0
 
@@ -170,8 +172,9 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_constraints(args) -> int:
-    t = _read_table(args.file)
-    constraints = analysis.extract_constraints(t)
+    from .analysis import extract_constraints
+
+    constraints = extract_constraints(_read_table(args.file))
     if args.porcelain:
         print(f"count\t{len(constraints)}")
         for p in constraints:
@@ -183,18 +186,20 @@ def _cmd_constraints(args) -> int:
 
 
 def _cmd_change_basis(args) -> int:
+    from .analysis import apply_basis_change
+
     t = _read_table(args.file)
-    change = _read_change(args.change, t)
-    moved = analysis.apply_basis_change(t, change)
+    moved = apply_basis_change(t, _read_change(args.change, t))
     sys.stdout.write(serialize_algebra(moved))
     return 0
 
 
 def _cmd_verify_iso(args) -> int:
+    from .analysis import verify_isomorphism
+
     t1 = _read_table(args.file1)
     t2 = _read_table(args.file2)
-    change = _read_change(args.change, t1)
-    verdict = analysis.verify_isomorphism(t1, t2, change)
+    verdict = verify_isomorphism(t1, t2, _read_change(args.change, t1))
     if args.porcelain:
         print(f"status\t{verdict.status}")
         if verdict.detail:
@@ -236,23 +241,21 @@ def _cmd_profile(args) -> int:
             print(f"table {t.name} ({path})")
             for field in _PROFILE_FIELDS:
                 print(f"  {field:<22}{_fmt_value(d[field])}")
-    for i in range(len(profiles)):
-        for j in range(i + 1, len(profiles)):
-            _, t1, p1 = profiles[i]
-            _, t2, p2 = profiles[j]
-            report = analysis.ProfileReport.compare(p1, p2)
-            if args.porcelain:
-                fields = ",".join(report.separating)
-                print(f"compare\t{t1.name}\t{t2.name}\t{report.status}\t{fields}")
-            elif report.distinguished:
-                print(
-                    f"{t1.name} vs {t2.name}: DISTINGUISHED ({', '.join(report.separating)})"
-                )
-            else:
-                print(
-                    f"{t1.name} vs {t2.name}: INCONCLUSIVE (computed invariants agree; "
-                    "this does not assert an isomorphism)"
-                )
+    pairs = [(a, b) for i, a in enumerate(profiles) for b in profiles[i + 1 :]]
+    if pairs:
+        from .analysis import ProfileReport
+    for (_, t1, p1), (_, t2, p2) in pairs:
+        report = ProfileReport.compare(p1, p2)
+        if args.porcelain:
+            fields = ",".join(report.separating)
+            print(f"compare\t{t1.name}\t{t2.name}\t{report.status}\t{fields}")
+        elif report.distinguished:
+            print(f"{t1.name} vs {t2.name}: DISTINGUISHED ({', '.join(report.separating)})")
+        else:
+            print(
+                f"{t1.name} vs {t2.name}: INCONCLUSIVE (computed invariants agree; "
+                "this does not assert an isomorphism)"
+            )
     return 0
 
 

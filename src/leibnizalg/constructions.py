@@ -25,11 +25,10 @@ coefficients named a_<left>_<right>_<j>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .core import AlgebraTable, Matrix, mat_from_rows, mat_mul, mat_sub
+from .core import AlgebraTable, Matrix, Record, mat_from_rows, mat_mul, mat_sub
 from .errors import AdmissibilityError, DimensionMismatchError, ParametricError
 from .scalars import Poly
 
@@ -219,8 +218,7 @@ def make_module_extension(m: int, a: Rat = 0) -> AlgebraTable:
     return AlgebraTable.from_products(name, _family_basis(m), products)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """Shape of a generic symbolic family over the weight-m module.
 
     include_sl2_R_products frees the products [e|f|h, y_i];
@@ -228,10 +226,16 @@ class FamilySpec:
     canonical sl2 products. Free coefficients are named with param_format.
     """
 
-    m: int
-    include_sl2_R_products: bool = False
-    include_sl2_defects: bool = False
-    param_format: str = "a_{left}_{right}_{j}"
+    __slots__ = ("m", "include_sl2_R_products", "include_sl2_defects", "param_format")
+
+    def __init__(
+        self,
+        m: int,
+        include_sl2_R_products: bool = False,
+        include_sl2_defects: bool = False,
+        param_format: str = "a_{left}_{right}_{j}",
+    ):
+        self._fill(m, include_sl2_R_products, include_sl2_defects, param_format)
 
     def param(self, left: str, right: str, j: int) -> str:
         return self.param_format.format(left=left, right=right, j=j)

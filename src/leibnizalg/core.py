@@ -31,9 +31,9 @@ bracketed with the basis once, so this terminates after at most dim rows.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -58,13 +58,54 @@ FAIL = "FAIL"
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Element:
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass sets its __slots__ in __init__ (through _fill), and later
+    assignment raises AttributeError. Equality and hash go over the slots
+    named in _compare (default: all of them), repr over the public slots.
+    """
+
+    __slots__ = ()
+    _compare: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # a plain attrgetter, not a method: called as self._key(self)
+        cls._key = attrgetter(*(cls._compare or cls.__slots__))
+
+    def _fill(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            _set(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_")
+        return f"{type(self).__name__}({fields})"
+
+
+class Element(Record):
     """A vector in the algebra, held as Poly coordinates over the basis."""
 
-    coords: tuple[Poly, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[Poly, ...]):
+        _set(self, "coords", coords)  # not _fill: elements are built in the hot loops
 
     @property
     def dim(self) -> int:
@@ -231,13 +272,13 @@ def rref(rows: Iterable[Sequence[Fraction]], ambient: int) -> tuple[tuple[tuple[
     return sub.rows, sub.pivots
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A subspace of F^ambient in reduced row echelon form."""
 
-    ambient: int
-    rows: tuple[tuple[Fraction, ...], ...]
-    pivots: tuple[int, ...]
+    __slots__ = ("ambient", "rows", "pivots")
+
+    def __init__(self, ambient: int, rows: tuple[tuple[Fraction, ...], ...], pivots: tuple[int, ...]):
+        self._fill(ambient, rows, pivots)
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
@@ -436,46 +477,63 @@ def submodule_closure(ops: Sequence[Matrix], seed: Element) -> Subspace:
 # verdicts and invariant profiles
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of a PASS/FAIL check, with a witness when it fails."""
 
-    status: str
-    witness: tuple[str, ...] | None = None
-    residual: Element | None = None
-    detail: str = ""
+    __slots__ = ("status", "witness", "residual", "detail")
+
+    def __init__(
+        self,
+        status: str,
+        witness: tuple[str, ...] | None = None,
+        residual: Element | None = None,
+        detail: str = "",
+    ):
+        self._fill(status, witness, residual, detail)
 
     @property
     def passed(self) -> bool:
         return self.status == PASS
 
 
-@dataclass(frozen=True)
-class InvariantProfile:
+class InvariantProfile(Record):
     """Basis-independent dimensions used to tell tables apart."""
 
-    dim: int
-    derived_dim: int
-    derived_series: tuple[int, ...]
-    lower_central_series: tuple[int, ...]
-    left_center_dim: int
-    right_center_dim: int
-    squares_ideal_dim: int
+    __slots__ = (
+        "dim",
+        "derived_dim",
+        "derived_series",
+        "lower_central_series",
+        "left_center_dim",
+        "right_center_dim",
+        "squares_ideal_dim",
+    )
+
+    def __init__(
+        self,
+        dim: int,
+        derived_dim: int,
+        derived_series: tuple[int, ...],
+        lower_central_series: tuple[int, ...],
+        left_center_dim: int,
+        right_center_dim: int,
+        squares_ideal_dim: int,
+    ):
+        self._fill(
+            dim,
+            derived_dim,
+            derived_series,
+            lower_central_series,
+            left_center_dim,
+            right_center_dim,
+            squares_ideal_dim,
+        )
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "dim": self.dim,
-            "derived_dim": self.derived_dim,
-            "derived_series": self.derived_series,
-            "lower_central_series": self.lower_central_series,
-            "left_center_dim": self.left_center_dim,
-            "right_center_dim": self.right_center_dim,
-            "squares_ideal_dim": self.squares_ideal_dim,
-        }
+        return {f: getattr(self, f) for f in self.__slots__}
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+class QuotientMap(Record):
     """Coordinate projection onto the quotient by an ideal.
 
     Kept coordinates are the non-pivot columns of the ideal's echelon form;
@@ -483,8 +541,10 @@ class QuotientMap:
     off the kept coordinates.
     """
 
-    ideal: Subspace
-    kept: tuple[int, ...]
+    __slots__ = ("ideal", "kept")
+
+    def __init__(self, ideal: Subspace, kept: tuple[int, ...]):
+        self._fill(ideal, kept)
 
     def __call__(self, el: Element) -> Element:
         coords = list(el.coords)
@@ -506,40 +566,43 @@ class QuotientMap:
 # the table itself
 
 
-@dataclass(frozen=True)
-class AlgebraTable:
+class AlgebraTable(Record):
     """A structure-constant table over named basis symbols.
 
     table[i][j] is the product [b_i, b_j]. Equality compares dimension,
     parameters, basis names and every product; the display name is ignored.
+    _constants is built on first use by constants() and lives and dies with
+    the table.
     """
 
-    name: str = field(compare=False)
-    dim: int
-    params: tuple[str, ...]
-    basis: tuple[str, ...]
-    table: tuple[tuple[Element, ...], ...]
-    # built on first use by constants(); it lives and dies with the table
-    _constants: Constants | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("name", "dim", "params", "basis", "table", "_constants")
+    _compare = ("dim", "params", "basis", "table")
 
-    def __post_init__(self):
-        if self.dim != len(self.basis):
-            raise DimensionMismatchError(f"dim {self.dim} but {len(self.basis)} basis symbols")
-        if len(set(self.basis)) != len(self.basis):
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        params: tuple[str, ...],
+        basis: tuple[str, ...],
+        table: tuple[tuple[Element, ...], ...],
+    ):
+        if dim != len(basis):
+            raise DimensionMismatchError(f"dim {dim} but {len(basis)} basis symbols")
+        if len(set(basis)) != len(basis):
             raise DimensionMismatchError("duplicate basis symbols")
-        if len(set(self.params)) != len(self.params):
+        if len(set(params)) != len(params):
             raise DimensionMismatchError("duplicate parameter names")
-        clash = set(self.params) & set(self.basis)
+        clash = set(params) & set(basis)
         if clash:
             raise DimensionMismatchError(f"parameters clash with basis symbols: {sorted(clash)}")
-        allowed = set(self.params)
-        if len(self.table) != self.dim:
+        allowed = set(params)
+        if len(table) != dim:
             raise DimensionMismatchError("table has wrong number of rows")
-        for row in self.table:
-            if len(row) != self.dim:
+        for row in table:
+            if len(row) != dim:
                 raise DimensionMismatchError("table has wrong number of columns")
             for entry in row:
-                if entry.dim != self.dim:
+                if entry.dim != dim:
                     raise DimensionMismatchError("table entry has wrong dimension")
                 for poly in entry.coords:
                     for mono in poly.terms:
@@ -548,6 +611,7 @@ class AlgebraTable:
                             raise DimensionMismatchError(
                                 f"undeclared parameters in table entry: {sorted(extra)}"
                             )
+        self._fill(name, dim, params, basis, table, None)
 
     @classmethod
     def from_products(
@@ -695,7 +759,7 @@ class AlgebraTable:
                     "table has parametric entries; use constraint extraction "
                     "(extract_constraints / the constraints command) instead"
                 ) from None
-            object.__setattr__(self, "_constants", built)
+            _set(self, "_constants", built)
         return self._constants
 
     def sparse_bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:

@@ -65,7 +65,15 @@ def mono_cmp(a: Mono, b: Mono) -> int:
     return 0
 
 
-MONO_KEY = functools.cmp_to_key(mono_cmp)
+@functools.lru_cache(maxsize=1 << 12)
+def MONO_KEY(m: Mono) -> tuple:
+    """Sort key that orders monomials as mono_cmp does.
+
+    Degree first, then the (name, exponent) pairs, in which an earlier name
+    must sort later: a name is keyed by its negated code points and a final
+    1, which reverses string order. Memoized in a bounded cache.
+    """
+    return mono_degree(m), tuple((tuple([-ord(ch) for ch in name]) + (1,), e) for name, e in m)
 
 
 def mono_str(m: Mono) -> str:
@@ -187,7 +195,8 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         """Terms in canonical ascending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda t: MONO_KEY(t[0]))
+        terms = self.terms
+        return [(mono, terms[mono]) for mono in sorted(terms, key=MONO_KEY)]
 
     def _coerce(self, other: Coeffish) -> "Poly | None":
         if isinstance(other, Poly):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import leibnizalg as L
 from leibnizalg.analysis import BasisChange
 from leibnizalg.core import det_and_adjugate, mat_identity, mat_mul
-from leibnizalg.scalars import MONO_KEY, Poly, normalize_primitive
+from leibnizalg.scalars import Poly, _join_terms, format_term, mono_cmp, normalize_primitive
 
 from conftest import (
     invertible_changes,
@@ -210,12 +211,15 @@ def test_constant_change_metamorphic(data):
 # normalization that the scaled integer kernel replaced
 
 
+REF_MONO_KEY = cmp_to_key(mono_cmp)
+
+
 def ref_normalize_primitive(p):
     nums = [c.numerator for c in p.terms.values()]
     dens = [c.denominator for c in p.terms.values()]
     content = Fraction(gcd(*nums), lcm(*dens))
     scaled = {mono: coeff / content for mono, coeff in p.terms.items()}
-    lead_mono = min(scaled, key=MONO_KEY)
+    lead_mono = min(scaled, key=REF_MONO_KEY)
     if scaled[lead_mono] < 0:
         scaled = {mono: -coeff for mono, coeff in scaled.items()}
     return Poly(scaled)
@@ -253,3 +257,42 @@ def test_normalize_primitive_matches_reference(p):
     got = normalize_primitive(p)
     assert got == ref_normalize_primitive(p)
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# reference printing order: terms and polynomials sorted through
+# cmp_to_key(mono_cmp), as before the memoized monomial key
+
+
+def ref_sorted_terms(p):
+    return sorted(p.terms.items(), key=lambda t: REF_MONO_KEY(t[0]))
+
+
+def ref_poly_sort_key(p):
+    terms = ref_sorted_terms(p)
+    return (len(terms), tuple((REF_MONO_KEY(m), c) for m, c in terms))
+
+
+def ref_printed(constraints):
+    ordered = sorted(constraints.polys, key=ref_poly_sort_key)
+    return [_join_terms(format_term(c, m) for m, c in ref_sorted_terms(p)) for p in ordered]
+
+
+@st.composite
+def constraint_sets(draw):
+    """Polynomials over two or three parameters whose names share prefixes."""
+    names = draw(st.lists(st.sampled_from(["a", "a0", "a_1", "ab", "b", "Z"]), min_size=2, max_size=3, unique=True))
+    params = tuple(sorted(names))
+    return L.ConstraintSet.of(draw(st.lists(rational_polys(params), max_size=8)))
+
+
+@given(constraint_sets())
+def test_constraint_set_prints_in_reference_order(constraints):
+    assert [str(p) for p in constraints] == ref_printed(constraints)
+
+
+def test_generic_constraints_print_in_reference_order():
+    spec = L.FamilySpec(1, include_sl2_R_products=True, include_sl2_defects=True)
+    constraints = L.extract_constraints(L.make_generic_family(spec))
+    assert len(constraints) >= 100
+    assert [str(p) for p in constraints] == ref_printed(constraints)

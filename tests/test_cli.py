@@ -1,3 +1,5 @@
+import json
+import os
 import subprocess
 import sys
 
@@ -69,12 +71,37 @@ def test_missing_file_and_parse_error(capsys, tmp_path):
     assert code == 2 and "line 4" in err
 
 
+KNOWN_CONSTRUCTORS = """\
+error: unknown constructor 'so8'; known constructors:
+  Lfamily: L(l, mu, a), admissible when l*(1-a) = 0 (--l --mu --a)
+  abelian: an abelian algebra (--dim N)
+  direct-sum: block sum of two named constant constructors
+  dzhumadildaev: sl2 with the weight-m module adjoined (--m M)
+  generic: the symbolic ansatz family (--m M [--sl2-r-products] [--sl2-defects])
+  module-ext: the (m+6)-dim family with y2 scaling the module (--m M --a A)
+  prefamily: the eight-dim four-parameter family over the weight-2 module
+  r2: the solvable Lie algebra on (y1, y2)
+  sl2: the split simple Lie algebra on (e, h, f)
+"""
+
+
 def test_construct_unknown_lists_known(capsys):
     code = cli.main(["construct", "so8"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "unknown constructor" in captured.err
-    assert "Lfamily" in captured.err and "prefamily" in captured.err
+    assert captured.err == KNOWN_CONSTRUCTORS
+
+
+def test_construct_direct_sum_summands(capsys):
+    code, out, _ = run(capsys, "construct", "direct-sum", "r2", "sl2")
+    assert code == 0
+    assert L.parse_algebra(out) == L.make_direct_sum(L.make_r2(), L.make_sl2())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct", "direct-sum", "sl2", "so8"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "{prefamily,r2,sl2} {prefamily,r2,sl2}" in err
+    assert "argument right: invalid choice: 'so8' (choose from 'prefamily', 'r2', 'sl2')" in err
 
 
 def test_construct_inadmissible_point(capsys):
@@ -262,3 +289,114 @@ def test_module_entry_point():
 def test_no_command_is_usage_error():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+# ---------------------------------------------------------------------------
+# fresh processes: the in-process tests above run after conftest has imported
+# every module, so only a new interpreter shows what a command imports itself
+
+SRC = os.path.dirname(os.path.dirname(L.__file__))
+# leibnizalg.__all__, pinned: resolving names lazily must not change what it exports
+ALL_NAMES = [
+    "AdmissibilityError", "AlgebraError", "AlgebraTable", "BasisChange", "BasisChangeError",
+    "ChangeDocument", "ConstraintSet", "DISTINGUISHED", "DimensionMismatchError", "Element",
+    "FamilySpec", "INCONCLUSIVE", "InvariantProfile", "MissingParameterError", "NotAnIdealError",
+    "ONE", "ParametricError", "ParseError", "Poly", "ProfileReport", "QuotientMap", "Subspace",
+    "Verdict", "ZERO", "apply_basis_change", "as_poly", "compare_profiles", "element_from",
+    "extract_constraints", "format_element", "make_L_family", "make_L_prefamily", "make_abelian",
+    "make_direct_sum", "make_dzhumadildaev", "make_generic_family", "make_module_extension",
+    "make_r2", "make_sl2", "make_sl2_module", "normalize_primitive", "parse_algebra",
+    "parse_change", "serialize_algebra", "span", "verify_isomorphism", "zero_element",
+]
+
+
+def fresh_python(*args, cwd=None):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
+
+
+@pytest.fixture
+def small_inputs(capsys, tmp_path):
+    construct(capsys, tmp_path, "sl2")
+    construct(capsys, tmp_path, "prefamily")
+    construct(capsys, tmp_path, "Lfamily", "--l", "2", "--mu", "3", "--a", "1", filename="a.alg")
+    construct(capsys, tmp_path, "Lfamily", "--l", "1", "--mu", "0", "--a", "1", filename="b.alg")
+    write(tmp_path, "c.chg", CHANGE_231_TO_101)
+    return tmp_path
+
+
+EVERY_COMMAND = [
+    ("check", "b.alg"),
+    ("check", "b.alg", "--mode", "lie", "--porcelain"),
+    ("construct", "generic", "--m", "1", "--sl2-defects"),
+    ("construct", "direct-sum", "sl2", "r2"),
+    ("ideal", "b.alg"),
+    ("quotient", "b.alg"),
+    ("constraints", "prefamily.alg", "--porcelain"),
+    ("change-basis", "a.alg", "c.chg"),
+    ("verify-iso", "a.alg", "b.alg", "c.chg"),
+    ("verify-iso", "a.alg", "b.alg", "identity"),
+    ("profile", "sl2.alg"),
+    ("profile", "sl2.alg", "a.alg", "b.alg", "--porcelain"),
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+def test_fresh_process_matches_in_process(capsys, small_inputs, monkeypatch, argv):
+    monkeypatch.chdir(small_inputs)
+    want = run(capsys, *argv)
+    proc = fresh_python("-m", "leibnizalg", *argv, cwd=small_inputs)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+NEVER_AFTER_SIMPLE_COMMANDS = {"leibnizalg.analysis", "leibnizalg.constructions", "dataclasses"}
+IMPORTS_OF = """\
+import json, runpy, sys
+before = set(sys.modules)
+sys.argv = ["leibnizalg", *sys.argv[1:]]
+try:
+    runpy.run_module("leibnizalg", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.mark.parametrize("argv", [("check", "b.alg"), ("ideal", "b.alg"), ("quotient", "b.alg"), ("profile", "b.alg")])
+def test_simple_commands_import_neither_analysis_nor_constructions(small_inputs, argv):
+    proc = fresh_python("-c", IMPORTS_OF, *argv, cwd=small_inputs)
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert "leibnizalg.core" in added
+    assert not added & NEVER_AFTER_SIMPLE_COMMANDS
+
+
+def test_package_namespace_is_lazy_and_complete():
+    script = """\
+import json, sys
+import leibnizalg
+loaded = sorted(m for m in sys.modules if m.startswith("leibnizalg."))
+listed = dir(leibnizalg)
+names = {}
+exec("from leibnizalg import *", names)
+modules = [m for name, m in sys.modules.items() if name.startswith("leibnizalg.")]
+print(json.dumps({
+    "loaded_by_import": loaded,
+    "all": leibnizalg.__all__,
+    "star": sorted(n for n in names if n != "__builtins__"),
+    "dir": listed,
+    "from_a_submodule": all(
+        any(vars(m).get(n) is names[n] for m in modules) for n in leibnizalg.__all__
+    ),
+    "has_unknown": hasattr(leibnizalg, "no_such_name"),
+}))
+"""
+    proc = fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["loaded_by_import"] == []
+    assert got["all"] == ALL_NAMES
+    assert got["star"] == ALL_NAMES
+    assert set(ALL_NAMES) <= set(got["dir"])
+    assert got["from_a_submodule"]
+    assert not got["has_unknown"]

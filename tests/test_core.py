@@ -36,6 +36,85 @@ def test_element_arithmetic():
     assert L.zero_element(3).is_zero()
 
 
+def record_instances():
+    """One instance of every immutable value class, built from sl2."""
+    t = L.make_sl2()
+    ideal = L.Subspace.zero(3)
+    profile = t.invariant_profile()
+    return [
+        L.element_from([1, 0, 2]),
+        ideal,
+        L.Verdict("FAIL", witness=("e", "h"), residual=L.zero_element(3), detail="why"),
+        profile,
+        L.QuotientMap(ideal, (0, 1, 2)),
+        t,
+        L.parse_change("change c\ndim 3\nbasis e h f\nnew e = 2*e\n"),
+        L.ConstraintSet.of([Poly.param("a")]),
+        L.BasisChange.identity(3),
+        L.ProfileReport.compare(profile, profile),
+        L.FamilySpec(1, include_sl2_defects=True),
+    ]
+
+
+def test_records_are_frozen_and_slotted():
+    for record in record_instances():
+        field = record.__slots__[0]
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert not hasattr(record, "__dict__")
+
+
+def test_record_repr_names_class_and_fields():
+    assert repr(L.Subspace.zero(2)) == "Subspace(ambient=2, rows=(), pivots=())"
+    assert repr(L.Verdict("PASS")) == "Verdict(status='PASS', witness=None, residual=None, detail='')"
+    assert repr(L.FamilySpec(2)) == (
+        "FamilySpec(m=2, include_sl2_R_products=False, include_sl2_defects=False, "
+        "param_format='a_{left}_{right}_{j}')"
+    )
+    table = repr(L.make_r2())
+    assert table.startswith("AlgebraTable(name='r2', dim=2, params=(), basis=('y1', 'y2'), table=((")
+    assert "_constants" not in table
+    for record in record_instances():
+        text = repr(record)
+        assert text.startswith(type(record).__name__ + "(")
+        assert all(f"{f}=" in text for f in record.__slots__ if not f.startswith("_"))
+
+
+def test_record_equality_and_hash():
+    t = L.make_sl2()
+    renamed = L.AlgebraTable("other", t.dim, t.params, t.basis, t.table)
+    t.constants()  # the cached constants take no part in equality either
+    assert t == renamed and hash(t) == hash(renamed)
+    assert t != L.make_direct_sum(L.make_r2(), L.make_abelian(1))
+    assert t != t.table[0][1]  # another class never compares equal
+    u, v = L.element_from([1, 0, 2]), L.element_from([1, 0, 2])
+    assert u == v and hash(u) == hash(v) and u is not v
+    assert len({u, v, L.element_from([0, 1, 0])}) == 2
+    assert {u: "found"}[v] == "found"
+    a, b = Poly.param("a"), Poly.param("b")
+    c1, c2 = L.ConstraintSet.of([a, b]), L.ConstraintSet.of([b, a])
+    assert c1 == c2 and hash(c1) == hash(c2)
+    assert {c1: 1}[c2] == 1 and len({c1, c2, L.ConstraintSet.of([a])}) == 2
+    assert L.FamilySpec(1) == L.FamilySpec(1, include_sl2_R_products=False)
+    assert L.FamilySpec(1) != L.FamilySpec(1, include_sl2_defects=True)
+    for one, two in zip(record_instances(), record_instances()):
+        assert one == two and one is not two
+        if not isinstance(one, L.ChangeDocument):  # it holds a dict, so it is unhashable
+            assert hash(one) == hash(two)
+
+
+def test_constants_are_cached_on_the_instance():
+    t = L.make_sl2()
+    first = t.constants()
+    assert t.constants() is first
+    assert L.make_sl2().constants() is not first
+    assert L.make_sl2().constants() == first
+
+
 def test_format_element():
     basis = ("e", "h", "f")
     el = L.element_from([2, 0, Fraction(-1, 2)])

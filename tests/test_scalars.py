@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, strategies as st
@@ -138,3 +139,23 @@ def test_normalize_kills_scale(p, num):
     scale = Fraction(num, 7)
     assert normalize_primitive(scale * p) == normalize_primitive(p)
     assert normalize_primitive(-scale * p) == normalize_primitive(p)
+
+
+# names with many shared prefixes ("a" < "a0" < "a_" < "ab" < "b"), the case
+# a key on reversed names could get wrong
+prefix_names = st.text(alphabet="ab0_Z", min_size=1, max_size=3)
+monomials = st.dictionaries(prefix_names, st.integers(min_value=1, max_value=3), max_size=4).map(
+    lambda exps: tuple(sorted(exps.items()))
+)
+
+
+@given(monomials, monomials)
+def test_mono_key_orders_as_mono_cmp(a, b):
+    sign = mono_cmp(a, b)
+    assert (MONO_KEY(a) < MONO_KEY(b)) == (sign < 0)
+    assert (MONO_KEY(a) == MONO_KEY(b)) == (sign == 0) == (a == b)
+
+
+@given(st.lists(monomials, max_size=12))
+def test_mono_key_sorts_as_cmp_to_key(monos):
+    assert sorted(monos, key=MONO_KEY) == sorted(monos, key=cmp_to_key(mono_cmp))
