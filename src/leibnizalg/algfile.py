@@ -70,9 +70,9 @@ def _parse_term(
     sign: int,
     params: tuple[str, ...],
     lineno: int,
-    basis: tuple[str, ...] | None,
+    basis: dict[str, int] | None,
 ) -> tuple[Poly, str | None]:
-    """One term -> (scalar, basis symbol). basis None parses a bare scalar."""
+    """One term -> (scalar, basis symbol). basis maps symbols to indices; None parses a bare scalar."""
     factors = body.split("*")
     if any(not f for f in factors):
         raise ParseError(lineno, f"malformed term {body!r}")
@@ -118,19 +118,20 @@ def parse_scalar(text: str, params: tuple[str, ...], lineno: int = 1) -> Poly:
 
 
 def _parse_element(
-    text: str, params: tuple[str, ...], basis: tuple[str, ...], lineno: int
+    text: str, params: tuple[str, ...], index: dict[str, int], lineno: int
 ) -> Element:
+    """An element over the basis given as {symbol: coordinate index}."""
     expr = re.sub(r"\s+", "", text)
     if not expr:
         raise ParseError(lineno, "empty expression")
     if expr == "0":
-        return zero_element(len(basis))
-    coords = [ZERO] * len(basis)
-    index = {b: i for i, b in enumerate(basis)}
+        return zero_element(len(index))
+    coords: dict[int, Poly] = {}
     for sign, body in _split_terms(expr, lineno):
-        poly, symbol = _parse_term(body, sign, params, lineno, basis=basis)
-        coords[index[symbol]] = coords[index[symbol]] + poly
-    return Element(tuple(coords))
+        poly, symbol = _parse_term(body, sign, params, lineno, basis=index)
+        k = index[symbol]
+        coords[k] = coords[k] + poly if k in coords else poly
+    return Element.of(len(index), coords)
 
 
 def _parse_names(rest: list[str], what: str, lineno: int) -> tuple[str, ...]:
@@ -208,7 +209,7 @@ def parse_algebra(text: str) -> AlgebraTable:
         if (left, right) in seen:
             raise ParseError(lineno, f"duplicate product [{left},{right}]")
         seen.add((left, right))
-        rows[index[left]][index[right]] = _parse_element(expr, params, basis, lineno)
+        rows[index[left]][index[right]] = _parse_element(expr, params, index, lineno)
     return AlgebraTable(name, dim, params, basis, tuple(tuple(r) for r in rows))
 
 
@@ -218,11 +219,10 @@ def serialize_algebra(t: AlgebraTable) -> str:
     if t.params:
         lines.append("params " + " ".join(t.params))
     lines.append("basis " + " ".join(t.basis))
-    for i in range(t.dim):
-        for j in range(t.dim):
-            entry = t.table[i][j]
-            if not entry.is_zero():
-                lines.append(f"[{t.basis[i]},{t.basis[j]}] = {format_element(entry, t.basis)}")
+    for left, row in zip(t.basis, t.table):
+        for right, entry in zip(t.basis, row):
+            if entry.nonzero:
+                lines.append(f"[{left},{right}] = {format_element(entry, t.basis)}")
     return "\n".join(lines) + "\n"
 
 
@@ -262,6 +262,7 @@ class ChangeDocument(Record):
 def parse_change(text: str) -> ChangeDocument:
     """Parse a change-of-basis document (`change` header plus `new` lines)."""
     (name, dim, params, basis), body = _parse_header(_content_lines(text), "change")
+    index = {b: i for i, b in enumerate(basis)}
     assignments: dict[str, Element] = {}
     for lineno, line in body:
         m = _NEW_RE.match(line)
@@ -272,5 +273,5 @@ def parse_change(text: str) -> ChangeDocument:
             raise ParseError(lineno, f"unknown basis symbol {symbol!r}")
         if symbol in assignments:
             raise ParseError(lineno, f"duplicate `new {symbol}` line")
-        assignments[symbol] = _parse_element(expr, params, basis, lineno)
+        assignments[symbol] = _parse_element(expr, params, index, lineno)
     return ChangeDocument(name, dim, params, basis, assignments)

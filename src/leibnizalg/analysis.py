@@ -18,8 +18,8 @@ followed by coords_new = w . C^-1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .core import (
     AlgebraTable,
@@ -41,7 +41,7 @@ from .core import (
     sparse_element,
 )
 from .errors import BasisChangeError, DimensionMismatchError, ParametricError
-from .scalars import Mono, Poly, as_poly, poly_sort_key, primitive_terms
+from .scalars import Mono, Poly, poly_sort_key, primitive_terms
 
 DISTINGUISHED = "DISTINGUISHED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -121,12 +121,12 @@ class BasisChange(Record):
         return cls(mat_identity(dim))
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Union[Poly, Fraction, int]]]) -> "BasisChange":
+    def from_rows(cls, rows: Sequence[Sequence[Poly | Fraction | int]]) -> "BasisChange":
         return cls(mat_from_rows(rows))
 
     @classmethod
     def from_assignments(
-        cls, t: AlgebraTable, assignments: Mapping[str, Union[Element, Mapping[str, object]]]
+        cls, t: AlgebraTable, assignments: Mapping[str, Element | Mapping[str, object]]
     ) -> "BasisChange":
         """Identity rows except the named ones, given over t's basis symbols."""
         rows = [list(row) for row in mat_identity(t.dim)]
@@ -210,15 +210,12 @@ def apply_basis_change(t: AlgebraTable, change: BasisChange) -> AlgebraTable:
         cp = Element(change.rows[p])
         for q in range(t.dim):
             w = t.bracket(cp, Element(change.rows[q]))
-            coords = []
-            for r in range(t.dim):
-                acc = None
-                for i, wi in enumerate(w.coords):
-                    if wi and inv[i][r]:
-                        term = wi * inv[i][r]
-                        acc = term if acc is None else acc + term
-                coords.append(acc if acc is not None else as_poly(0))
-            row.append(Element(tuple(coords)))
+            coords: dict[int, Poly] = {}
+            for i, wi in w.nonzero.items():
+                for r, x in enumerate(inv[i]):
+                    if x:
+                        coords[r] = coords[r] + wi * x if r in coords else wi * x
+            row.append(Element.of(t.dim, coords))
         new_rows.append(tuple(row))
     return AlgebraTable(t.name, t.dim, params, t.basis, tuple(new_rows))
 
@@ -229,7 +226,6 @@ def _apply_constant_change(
     """apply_basis_change for a constant table and change, on Fraction rows."""
     new = [sparse(row) for row in rows]
     inv_rows = [sparse(row) for row in inv]
-    indices = range(t.dim)
     table = []
     for cp in new:
         row = []
@@ -238,7 +234,7 @@ def _apply_constant_change(
             for i, wi in t.sparse_bracket(cp, cq).items():
                 for r, x in inv_rows[i].items():
                     coords[r] = coords.get(r, 0) + wi * x
-            row.append(sparse_element({r: x for r, x in coords.items() if x}, indices))
+            row.append(sparse_element(t.dim, coords))
         table.append(tuple(row))
     return AlgebraTable(t.name, t.dim, t.params, t.basis, tuple(table))
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .algfile import parse_algebra, parse_change, serialize_algebra
 from .core import AlgebraTable, format_element
@@ -26,7 +26,7 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise AlgebraError(f"cannot read {path}: {exc}") from exc
 
 

@@ -25,14 +25,14 @@ coefficients named a_<left>_<right>_<j>.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
 
-from .core import AlgebraTable, Matrix, Record, mat_from_rows, mat_mul, mat_sub
+from .core import AlgebraTable, Matrix, Record, mat_from_rows
 from .errors import AdmissibilityError, DimensionMismatchError, ParametricError
 from .scalars import Poly
 
-Rat = Union[Fraction, int]
+Rat = Fraction | int
 
 SL2_BASIS = ("e", "h", "f")
 
@@ -60,6 +60,8 @@ def make_r2() -> AlgebraTable:
 
 def make_abelian(dim: int, prefix: str = "z") -> AlgebraTable:
     """An abelian algebra with all products zero."""
+    if dim < 1:
+        raise AdmissibilityError("abelian dimension must be a positive integer")
     return AlgebraTable.from_products(f"abelian{dim}", tuple(f"{prefix}{i}" for i in range(dim)), {})
 
 
@@ -126,22 +128,26 @@ def make_dzhumadildaev(
     if set(action) != set(g.basis):
         raise DimensionMismatchError("action must give one matrix per Lie basis symbol")
     mdim = len(module)
-    for mat in action.values():
+    nonzero: dict[str, list[dict[int, Poly]]] = {}  # per Lie symbol, the nonzero entries of each row
+    for gi, mat in action.items():
         if len(mat) != mdim or any(len(row) != mdim for row in mat):
             raise DimensionMismatchError("action matrix has the wrong shape")
+        nonzero[gi] = [{c: x for c, x in enumerate(row) if x} for row in mat]
     for i, gi in enumerate(g.basis):
         for j, gj in enumerate(g.basis):
-            expected = mat_sub(mat_mul(action[gj], action[gi]), mat_mul(action[gi], action[gj]))
-            combo = None
-            for c, gc in zip(g.table[i][j].coords, g.basis):
-                if c:
-                    scaled = tuple(tuple(c * x for x in row) for row in action[gc])
-                    combo = scaled if combo is None else tuple(
-                        tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(combo, scaled)
-                    )
-            if combo is None:
-                combo = tuple((Poly.const(0),) * mdim for _ in range(mdim))
-            if any(any(a - b for a, b in zip(ra, rb)) for ra, rb in zip(combo, expected)):
+            # R_[gi,gj] - R_gj.R_gi + R_gi.R_gj, summed over nonzero entries only
+            terms = [
+                ((r, col), c * x)
+                for k, c in g.table[i][j].nonzero.items()
+                for r, row in enumerate(nonzero[g.basis[k]])
+                for col, x in row.items()
+            ]
+            terms += (((r, col), -x) for (r, col), x in _sparse_product(nonzero[gj], nonzero[gi]))
+            terms += _sparse_product(nonzero[gi], nonzero[gj])
+            diff: dict[tuple[int, int], Poly] = {}
+            for key, x in terms:
+                diff[key] = diff[key] + x if key in diff else x
+            if any(diff.values()):
                 raise AdmissibilityError(
                     f"action matrices are not a right module: fails at [{gi},{gj}]"
                 )
@@ -149,18 +155,22 @@ def make_dzhumadildaev(
     products: dict[tuple[str, str], dict[str, Poly]] = {}
     for i, gi in enumerate(g.basis):
         for j, gj in enumerate(g.basis):
-            entry = g.table[i][j]
-            if not entry.is_zero():
-                products[(gi, gj)] = {
-                    gc: c for gc, c in zip(g.basis, entry.coords) if c
-                }
-    for j, gj in enumerate(g.basis):
-        mat = action[gj]
-        for col, msym in enumerate(module):
-            coords = {module[row]: mat[row][col] for row in range(mdim) if mat[row][col]}
-            if coords:
-                products[(msym, gj)] = coords
+            entry = g.table[i][j].nonzero
+            if entry:
+                products[(gi, gj)] = {g.basis[k]: c for k, c in entry.items()}
+    for gj in g.basis:
+        for r, row in enumerate(nonzero[gj]):
+            for col, x in row.items():
+                products.setdefault((module[col], gj), {})[module[r]] = x
     return AlgebraTable.from_products(f"{g.name}_plus_module", basis, products)
+
+
+def _sparse_product(a: list[dict[int, Poly]], b: list[dict[int, Poly]]) -> Iterator[tuple[tuple[int, int], Poly]]:
+    """The terms ((r, c), a[r][k]*b[k][c]) of the matrix product a.b, over nonzero entries."""
+    for r, row in enumerate(a):
+        for k, x in row.items():
+            for c, y in b[k].items():
+                yield (r, c), x * y
 
 
 def make_direct_sum(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
@@ -177,18 +187,12 @@ def make_direct_sum(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
         taken.add(new)
     basis = a.basis + tuple(rename[n] for n in b.basis)
     products: dict[tuple[str, str], dict[str, Poly]] = {}
-    for i, bi in enumerate(a.basis):
-        for j, bj in enumerate(a.basis):
-            entry = a.table[i][j]
-            if not entry.is_zero():
-                products[(bi, bj)] = {a.basis[k]: c for k, c in enumerate(entry.coords) if c}
-    for i, bi in enumerate(b.basis):
-        for j, bj in enumerate(b.basis):
-            entry = b.table[i][j]
-            if not entry.is_zero():
-                products[(rename[bi], rename[bj])] = {
-                    rename[b.basis[k]]: c for k, c in enumerate(entry.coords) if c
-                }
+    for t, names in ((a, a.basis), (b, tuple(rename[n] for n in b.basis))):
+        for i, bi in enumerate(names):
+            for j, bj in enumerate(names):
+                entry = t.table[i][j].nonzero
+                if entry:
+                    products[(bi, bj)] = {names[k]: c for k, c in entry.items()}
     return AlgebraTable.from_products(f"{a.name}_plus_{b.name}", basis, products)
 
 

@@ -1,7 +1,7 @@
 """Structure-constant tables, bracket arithmetic and exact linear algebra.
 
 A finite-dimensional algebra is a table of products [b_i, b_j], each an
-Element (coordinate vector of Poly scalars over the basis). The bracket is
+Element (its nonzero Poly coordinates over the basis). The bracket is
 the bilinear extension of the table. The residual
 
     r(x, y, z) = [x, [y, z]] - [[x, y], z] + [[x, z], y]
@@ -31,10 +31,10 @@ bracketed with the basis once, so this terminates after at most dim rows.
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     DimensionMismatchError,
@@ -42,9 +42,8 @@ from .errors import (
     NotAnIdealError,
     ParametricError,
 )
-from .scalars import ONE, ZERO, Mono, Poly, as_poly, format_term, mono_mul, _join_terms
+from .scalars import ONE, ZERO, Coeffish, Mono, Poly, as_poly, format_term, mono_mul, _join_terms
 
-Coeffish = Union[Poly, Fraction, int]
 Matrix = tuple[tuple[Poly, ...], ...]
 # a constant vector {coordinate: nonzero value}; absent coordinates are zero
 SparseVec = dict[int, Fraction]
@@ -100,55 +99,71 @@ class Record:
 
 
 class Element(Record):
-    """A vector in the algebra, held as Poly coordinates over the basis."""
+    """A vector in the algebra: its dimension and its nonzero Poly coordinates.
 
-    __slots__ = ("coords",)
+    nonzero maps coordinate index -> Poly in ascending index order and holds
+    no zero value, so work on an element is proportional to its support.
+    Element(coords) takes a dense sequence; coords is the dense view, built
+    on each read.
+    """
 
-    def __init__(self, coords: tuple[Poly, ...]):
-        _set(self, "coords", coords)  # not _fill: elements are built in the hot loops
+    __slots__ = ("dim", "nonzero")
+
+    def __init__(self, coords: Sequence[Poly]):
+        _set(self, "dim", len(coords))  # not _fill: elements are built in the hot loops
+        _set(self, "nonzero", {i: c for i, c in enumerate(coords) if c})
+
+    @classmethod
+    def of(cls, dim: int, nonzero: Mapping[int, Poly]) -> "Element":
+        """The element of dimension dim with these coordinates, sorted, zero values dropped."""
+        el = object.__new__(cls)
+        _set(el, "dim", dim)
+        _set(el, "nonzero", {k: nonzero[k] for k in sorted(nonzero) if nonzero[k]})
+        return el
 
     @property
-    def dim(self) -> int:
-        return len(self.coords)
+    def coords(self) -> tuple[Poly, ...]:
+        get = self.nonzero.get
+        return tuple(get(i, ZERO) for i in range(self.dim))
+
+    def __hash__(self) -> int:
+        return hash((self.dim, frozenset(self.nonzero.items())))
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.nonzero
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coords) if c)
+        return tuple(self.nonzero)
 
     def is_constant(self) -> bool:
-        return all(c.is_constant() for c in self.coords)
+        return all(c.is_constant() for c in self.nonzero.values())
 
     def constant_coords(self) -> tuple[Fraction, ...]:
         return tuple(c.constant_value() for c in self.coords)
 
-    def _check(self, other: "Element") -> None:
-        if len(self.coords) != len(other.coords):
-            raise DimensionMismatchError(
-                f"element dimensions differ: {len(self.coords)} vs {len(other.coords)}"
-            )
-
     def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        if self.dim != other.dim:
+            raise DimensionMismatchError(f"element dimensions differ: {self.dim} vs {other.dim}")
+        acc = dict(self.nonzero)
+        for k, c in other.nonzero.items():
+            acc[k] = acc[k] + c if k in acc else c
+        return Element.of(self.dim, acc)
 
     def __sub__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + -other
 
     def __neg__(self) -> "Element":
-        return Element(tuple(-a for a in self.coords))
+        return Element.of(self.dim, {k: -c for k, c in self.nonzero.items()})
 
     def __rmul__(self, scalar: Coeffish) -> "Element":
         s = as_poly(scalar)
-        return Element(tuple(s * a for a in self.coords))
+        return Element.of(self.dim, {k: s * c for k, c in self.nonzero.items()})
 
     __mul__ = __rmul__
 
 
 def zero_element(dim: int) -> Element:
-    return Element((ZERO,) * dim)
+    return Element.of(dim, {})
 
 
 def element_from(coords: Sequence[Coeffish]) -> Element:
@@ -158,7 +173,7 @@ def element_from(coords: Sequence[Coeffish]) -> Element:
 def format_element(el: Element, basis: Sequence[str]) -> str:
     """Canonical text for an element: coordinate-major, terms ascending."""
     parts: list[tuple[int, str]] = []
-    for i, poly in enumerate(el.coords):
+    for i, poly in el.nonzero.items():
         for mono, coeff in poly.sorted_terms():
             parts.append(format_term(coeff, mono, basis[i]))
     return _join_terms(parts)
@@ -173,9 +188,9 @@ def sparse(coords: Sequence[Fraction]) -> SparseVec:
     return {k: c for k, c in enumerate(coords) if c}
 
 
-def sparse_element(vec: SparseVec, indices: Sequence[int]) -> Element:
-    """The Element whose coordinates are vec read at the given indices."""
-    return Element(tuple(Poly.const(vec[i]) if i in vec else ZERO for i in indices))
+def sparse_element(dim: int, vec: SparseVec) -> Element:
+    """The Element with the coordinates of a constant sparse vector."""
+    return Element.of(dim, {k: Poly.const(x) for k, x in vec.items()})
 
 
 def _subtract(v: SparseVec, c: Fraction, row: SparseVec) -> None:
@@ -216,7 +231,7 @@ class Echelon:
     def rank(self) -> int:
         return len(self.order)
 
-    def reduce(self, vec: Union[SparseVec, Iterable[tuple[int, Fraction]]]) -> SparseVec:
+    def reduce(self, vec: SparseVec | Iterable[tuple[int, Fraction]]) -> SparseVec:
         """What is left of vec after clearing every pivot column.
 
         vec holds no zero values. Pivots are cleared in ascending order:
@@ -230,7 +245,7 @@ class Echelon:
                 _subtract(v, c, self.rows[p])
         return v
 
-    def add(self, vec: Union[SparseVec, Iterable[tuple[int, Fraction]]]) -> SparseVec | None:
+    def add(self, vec: SparseVec | Iterable[tuple[int, Fraction]]) -> SparseVec | None:
         """Insert vec; returns its new row, or None when vec is dependent."""
         if len(self.order) == self.ambient:
             return None
@@ -313,7 +328,7 @@ class Subspace(Record):
         return tuple(i for i in range(self.ambient) if i not in used)
 
 
-def _constant_coords(v: Union[Element, Sequence[Fraction]]) -> Sequence[Fraction]:
+def _constant_coords(v: Element | Sequence[Fraction]) -> Sequence[Fraction]:
     if isinstance(v, Element):
         if not v.is_constant():
             raise ParametricError("span requires constant coordinates")
@@ -321,7 +336,7 @@ def _constant_coords(v: Union[Element, Sequence[Fraction]]) -> Sequence[Fraction
     return v
 
 
-def span(vectors: Iterable[Union[Element, Sequence[Fraction]]], ambient: int | None = None) -> Subspace:
+def span(vectors: Iterable[Element | Sequence[Fraction]], ambient: int | None = None) -> Subspace:
     """Row space of the given vectors as a canonical Subspace."""
     rows = [_constant_coords(v) for v in vectors]
     if ambient is None:
@@ -547,14 +562,14 @@ class QuotientMap(Record):
         self._fill(ideal, kept)
 
     def __call__(self, el: Element) -> Element:
-        coords = list(el.coords)
+        coords = dict(el.nonzero)
         for row, p in zip(self.ideal.rows, self.ideal.pivots):
-            c = coords[p]
+            c = coords.get(p)
             if c:
-                for k in range(self.ideal.ambient):
-                    if row[k]:
-                        coords[k] = coords[k] - c * row[k]
-        return Element(tuple(coords[i] for i in self.kept))
+                for k, x in enumerate(row):
+                    if x:
+                        coords[k] = coords.get(k, ZERO) - c * x
+        return Element.of(len(self.kept), {r: coords.get(i, ZERO) for r, i in enumerate(self.kept)})
 
     @property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -604,7 +619,7 @@ class AlgebraTable(Record):
             for entry in row:
                 if entry.dim != dim:
                     raise DimensionMismatchError("table entry has wrong dimension")
-                for poly in entry.coords:
+                for poly in entry.nonzero.values():
                     for mono in poly.terms:
                         if mono and not allowed.issuperset(name for name, _ in mono):
                             extra = poly.parameters() - allowed
@@ -630,14 +645,11 @@ class AlgebraTable(Record):
             for symbol in (left, right):
                 if symbol not in index:
                     raise DimensionMismatchError(f"unknown basis symbol {symbol!r} in a product key")
-            vec = [ZERO] * dim
-            for symbol, coeff in coords.items():
+            for symbol in coords:
                 if symbol not in index:
-                    raise DimensionMismatchError(
-                        f"unknown basis symbol {symbol!r} in [{left},{right}]"
-                    )
-                vec[index[symbol]] = vec[index[symbol]] + as_poly(coeff)
-            rows[index[left]][index[right]] = Element(tuple(vec))
+                    raise DimensionMismatchError(f"unknown basis symbol {symbol!r} in [{left},{right}]")
+            vec = {index[symbol]: as_poly(coeff) for symbol, coeff in coords.items()}
+            rows[index[left]][index[right]] = Element.of(dim, vec)
         return cls(name, dim, tuple(params), basis, tuple(tuple(r) for r in rows))
 
     # -- element plumbing ---------------------------------------------------
@@ -648,15 +660,12 @@ class AlgebraTable(Record):
         except ValueError:
             raise DimensionMismatchError(f"unknown basis symbol {symbol!r}") from None
 
-    def basis_element(self, which: Union[int, str]) -> Element:
+    def basis_element(self, which: int | str) -> Element:
         i = which if isinstance(which, int) else self.index(which)
-        return Element(tuple(ONE if j == i else ZERO for j in range(self.dim)))
+        return Element.of(self.dim, {i: ONE})
 
     def element(self, coords: Mapping[str, Coeffish]) -> Element:
-        vec = [ZERO] * self.dim
-        for symbol, coeff in coords.items():
-            vec[self.index(symbol)] = vec[self.index(symbol)] + as_poly(coeff)
-        return Element(tuple(vec))
+        return Element.of(self.dim, {self.index(s): as_poly(c) for s, c in coords.items()})
 
     def zero(self) -> Element:
         return zero_element(self.dim)
@@ -670,7 +679,7 @@ class AlgebraTable(Record):
     def is_parametric(self) -> bool:
         # validation admits only declared parameters, so without any the table is constant
         return bool(self.params) and any(
-            not poly.is_constant() for row in self.table for entry in row for poly in entry.coords
+            not poly.is_constant() for row in self.table for entry in row for poly in entry.nonzero.values()
         )
 
     def evaluate(self, assignment: Mapping[str, Fraction | int]) -> "AlgebraTable":
@@ -680,7 +689,7 @@ class AlgebraTable(Record):
                 raise MissingParameterError(f"no value for parameter {p}")
         new_rows = tuple(
             tuple(
-                Element(tuple(Poly.const(poly.evaluate(assignment)) for poly in entry.coords))
+                Element.of(self.dim, {k: Poly.const(p.evaluate(assignment)) for k, p in entry.nonzero.items()})
                 for entry in row
             )
             for row in self.table
@@ -693,19 +702,16 @@ class AlgebraTable(Record):
         """Bilinear extension of the table to arbitrary elements."""
         if u.dim != self.dim or v.dim != self.dim:
             raise DimensionMismatchError("element dimension does not match the table")
-        acc = [ZERO] * self.dim
-        for i, cu in enumerate(u.coords):
-            if not cu:
-                continue
-            for j, cv in enumerate(v.coords):
-                if not cv:
-                    continue
-                entry = self.table[i][j]
-                scale = cu * cv
-                for k, ck in enumerate(entry.coords):
-                    if ck:
-                        acc[k] = acc[k] + scale * ck
-        return Element(tuple(acc))
+        acc: dict[int, Poly] = {}
+        for i, cu in u.nonzero.items():
+            row_i = self.table[i]
+            for j, cv in v.nonzero.items():
+                entry = row_i[j].nonzero
+                if entry:
+                    scale = cu * cv
+                    for k, ck in entry.items():
+                        acc[k] = acc[k] + scale * ck if k in acc else scale * ck
+        return Element.of(self.dim, acc)
 
     def scaled_rows(self) -> tuple[int, ScaledRows]:
         """(D, rows): D is the lcm of every coefficient denominator in the
@@ -715,15 +721,14 @@ class AlgebraTable(Record):
             c.denominator
             for row in self.table
             for entry in row
-            for poly in entry.coords
+            for poly in entry.nonzero.values()
             for c in poly.terms.values()
         })
         rows = [
             [
                 [
                     (k, {mono: c.numerator * (d // c.denominator) for mono, c in poly.terms.items()})
-                    for k, poly in enumerate(entry.coords)
-                    if poly
+                    for k, poly in entry.nonzero.items()
                 ]
                 for entry in row
             ]
@@ -734,10 +739,10 @@ class AlgebraTable(Record):
     def residual(self, i: int, j: int, k: int) -> Element:
         """r(b_i, b_j, b_k) = [b_i,[b_j,b_k]] - [[b_i,b_j],b_k] + [[b_i,b_k],b_j]."""
         d, rows = self.scaled_rows()
-        coords = [ZERO] * self.dim
-        for m, terms in scaled_residual(rows, i, j, k).items():
-            coords[m] = Poly({mono: Fraction(c, d * d) for mono, c in terms.items()})
-        return Element(tuple(coords))
+        return Element.of(self.dim, {
+            m: Poly({mono: Fraction(c, d * d) for mono, c in terms.items()})
+            for m, terms in scaled_residual(rows, i, j, k).items()
+        })
 
     def constants(self) -> Constants:
         """Sparse structure constants, built on the first call and kept.
@@ -748,10 +753,7 @@ class AlgebraTable(Record):
         if self._constants is None:
             try:
                 built = [
-                    [
-                        [(k, c.constant_value()) for k, c in enumerate(entry.coords) if c]
-                        for entry in row
-                    ]
+                    [[(k, c.constant_value()) for k, c in entry.nonzero.items()] for entry in row]
                     for row in self.table
                 ]
             except MissingParameterError:
@@ -863,7 +865,7 @@ class AlgebraTable(Record):
         """Matrix of v -> [v, a] on coordinate columns; column j is [b_j, a]."""
         images = [self.bracket(self.basis_element(j), a) for j in range(self.dim)]
         return tuple(
-            tuple(images[j].coords[i] for j in range(self.dim)) for i in range(self.dim)
+            tuple(images[j].nonzero.get(i, ZERO) for j in range(self.dim)) for i in range(self.dim)
         )
 
     def product_span(self, left: Subspace, right: Subspace) -> Subspace:
@@ -939,8 +941,14 @@ class AlgebraTable(Record):
         new_basis = tuple(self.basis[i] for i in kept)
         ech = Echelon.of(sub)
         rows = self.constants()
+        # a reduced vector is zero at every pivot, so its support lies in kept
+        new_index = {i: r for r, i in enumerate(kept)}
         table = tuple(
-            tuple(sparse_element(ech.reduce(rows[p][q]), kept) for q in kept) for p in kept
+            tuple(
+                sparse_element(len(kept), {new_index[k]: x for k, x in ech.reduce(rows[p][q]).items()})
+                for q in kept
+            )
+            for p in kept
         )
         quotient = AlgebraTable(f"{self.name}_mod_I", len(kept), (), new_basis, table)
         return quotient, proj

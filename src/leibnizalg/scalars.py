@@ -23,15 +23,13 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
 
 from .errors import MissingParameterError
 
 Mono = tuple[tuple[str, int], ...]
-Rat = Fraction
-Coeffish = Union["Poly", Fraction, int]
 
 UNIT_MONO: Mono = ()
 
@@ -282,6 +280,8 @@ _F1 = Fraction(1)
 
 ZERO = Poly({})
 ONE = Poly({UNIT_MONO: _F1})
+
+Coeffish = Poly | Fraction | int
 
 
 def as_poly(value: Coeffish) -> Poly:

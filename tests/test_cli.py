@@ -71,6 +71,22 @@ def test_missing_file_and_parse_error(capsys, tmp_path):
     assert code == 2 and "line 4" in err
 
 
+def test_non_utf8_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.alg"
+    path.write_bytes(b"algebra x\ndim 1\nbasis a\n# caf\xe9\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ") and "can't decode byte 0xe9" in err
+    proc = fresh_python("-m", "leibnizalg", "check", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+
+def test_construct_abelian_needs_a_positive_dimension(capsys):
+    for dim in ("0", "-3"):
+        code, out, err = run(capsys, "construct", "abelian", "--dim", dim)
+        assert (code, out, err) == (2, "", "error: abelian dimension must be a positive integer\n")
+
+
 KNOWN_CONSTRUCTORS = """\
 error: unknown constructor 'so8'; known constructors:
   Lfamily: L(l, mu, a), admissible when l*(1-a) = 0 (--l --mu --a)
@@ -400,3 +416,16 @@ print(json.dumps({
     assert set(ALL_NAMES) <= set(got["dir"])
     assert got["from_a_submodule"]
     assert not got["has_unknown"]
+
+
+def test_no_typing_import_without_site():
+    # `site` may import typing itself (a .pth file can), so look without it
+    script = """\
+import sys
+before = "typing" in sys.modules
+import leibnizalg.cli, leibnizalg.analysis, leibnizalg.constructions
+print(before, "typing" in sys.modules)
+"""
+    proc = fresh_python("-S", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]

@@ -25,6 +25,9 @@ def test_abelian():
     t = L.make_abelian(3, prefix="w")
     assert t.basis == ("w0", "w1", "w2")
     assert all(t.entry(i, j).is_zero() for i in range(3) for j in range(3))
+    for dim in (0, -3):
+        with pytest.raises(L.AdmissibilityError, match="positive integer"):
+            L.make_abelian(dim)
 
 
 def test_direct_sum_blocks(sl2, r2):

@@ -1,0 +1,183 @@
+"""The sparse Element paths against the dense code they replaced.
+
+Each reference below is the dense implementation as it stood before
+Element held only its nonzero coordinates: the module-relation check of
+make_dzhumadildaev, serialize_algebra, format_element and constants(). They
+read an element through its dense coords view.
+"""
+
+import random
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import leibnizalg as L
+from leibnizalg.core import mat_from_rows, mat_mul, mat_sub
+from leibnizalg.scalars import Poly, _join_terms, format_term
+
+from conftest import parametric_tables, random_table, rational_polys, sparse_constant_tables
+
+
+def ref_format_element(el, basis):
+    parts = []
+    for i, poly in enumerate(el.coords):
+        for mono, coeff in poly.sorted_terms():
+            parts.append(format_term(coeff, mono, basis[i]))
+    return _join_terms(parts)
+
+
+def ref_serialize_algebra(t):
+    lines = [f"algebra {t.name}", f"dim {t.dim}"]
+    if t.params:
+        lines.append("params " + " ".join(t.params))
+    lines.append("basis " + " ".join(t.basis))
+    for i in range(t.dim):
+        for j in range(t.dim):
+            entry = t.table[i][j]
+            if any(entry.coords):
+                lines.append(f"[{t.basis[i]},{t.basis[j]}] = {ref_format_element(entry, t.basis)}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_constants(t):
+    return [
+        [[(k, c.constant_value()) for k, c in enumerate(entry.coords) if c] for entry in row]
+        for row in t.table
+    ]
+
+
+def ref_module_failure(g, action):
+    """The first [gi,gj] where R_[gi,gj] = R_gj.R_gi - R_gi.R_gj fails, by
+    dense matrix arithmetic over every entry; None when the action is a
+    right module."""
+    mdim = len(action[g.basis[0]])
+    for i, gi in enumerate(g.basis):
+        for j, gj in enumerate(g.basis):
+            expected = mat_sub(mat_mul(action[gj], action[gi]), mat_mul(action[gi], action[gj]))
+            combo = None
+            for c, gc in zip(g.table[i][j].coords, g.basis):
+                if c:
+                    scaled = tuple(tuple(c * x for x in row) for row in action[gc])
+                    combo = scaled if combo is None else tuple(
+                        tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(combo, scaled)
+                    )
+            if combo is None:
+                combo = tuple((Poly.const(0),) * mdim for _ in range(mdim))
+            if any(any(a - b for a, b in zip(ra, rb)) for ra, rb in zip(combo, expected)):
+                return f"[{gi},{gj}]"
+    return None
+
+
+def perturbed_action(rng: random.Random, m: int) -> dict:
+    """The weight-m action with one entry of one matrix changed, sometimes
+    by a multiple of a parameter, or (one time in six) left alone."""
+    _, e, f, h = L.make_sl2_module(m)
+    action = {"e": e, "f": f, "h": h}
+    if rng.randrange(6):
+        sym = rng.choice("ehf")
+        r, c = rng.randrange(m + 1), rng.randrange(m + 1)
+        delta = Poly.const(Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)))
+        if rng.randrange(2):
+            delta = delta * Poly.param("p") + Poly.const(rng.randint(-1, 1))
+        rows = [list(row) for row in action[sym]]
+        rows[r][c] = delta if rng.randrange(3) == 0 else rows[r][c] + delta
+        action[sym] = tuple(tuple(row) for row in rows)
+    return action
+
+
+def test_module_check_matches_dense_reference():
+    sl2 = L.make_sl2()
+    outcomes = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        m = rng.randint(0, 5)
+        action = perturbed_action(rng, m)
+        want = ref_module_failure(sl2, action)
+        try:
+            L.make_dzhumadildaev(sl2, L.make_sl2_module(m)[0], action)
+            got = None
+        except L.AdmissibilityError as exc:
+            got = str(exc)
+        except L.DimensionMismatchError as exc:
+            # the check passed; a parameter left in the action is then undeclared
+            assert "undeclared parameters" in str(exc)
+            got = None
+        expected = None if want is None else f"action matrices are not a right module: fails at {want}"
+        assert got == expected, (seed, m)
+        outcomes.add(want)
+    # both verdicts, and failures first seen at several pairs
+    assert None in outcomes and len(outcomes) >= 4
+
+
+def test_module_check_is_exact_on_parametric_entries():
+    sl2 = L.make_sl2()
+    names, e, f, h = L.make_sl2_module(2)
+    p = Poly.param("p")
+    # conjugating by the unipotent I + p*N, with N^2 = 0, keeps a right module
+    u = mat_from_rows([[1, 0, p], [0, 1, 0], [0, 0, 1]])
+    u_inv = mat_from_rows([[1, 0, -p], [0, 1, 0], [0, 0, 1]])
+    conj = {s: mat_mul(mat_mul(u_inv, x), u) for s, x in zip("efh", (e, f, h))}
+    assert conj["h"][0][2] == 4 * p
+    assert ref_module_failure(sl2, conj) is None
+    # the check passes; the table then holds the undeclared parameter p
+    with pytest.raises(L.DimensionMismatchError, match="undeclared parameters"):
+        L.make_dzhumadildaev(sl2, names, conj)
+    # p^2 - p on the diagonal of H vanishes at p = 0 and p = 1 only
+    bent = {"e": e, "f": f, "h": ((h[0][0] + p * p - p, *h[0][1:]), *h[1:])}
+    want = ref_module_failure(sl2, bent)
+    assert want is not None
+    with pytest.raises(L.AdmissibilityError, match=re.escape(f"fails at {want}")):
+        L.make_dzhumadildaev(sl2, names, bent)
+
+
+def check_against_references(t):
+    text = L.serialize_algebra(t)
+    assert text == ref_serialize_algebra(t)
+    assert L.parse_algebra(text) == t
+    for row in t.table:
+        for entry in row:
+            assert L.format_element(entry, t.basis) == ref_format_element(entry, t.basis)
+    if not t.is_parametric():
+        assert t.constants() == ref_constants(t)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.one_of(sparse_constant_tables(), parametric_tables()))
+def test_sparse_table_paths_match_dense_references(t):
+    check_against_references(t)
+
+
+def test_random_tables_match_dense_references():
+    for seed in range(100):
+        check_against_references(random_table(random.Random(seed)))
+    for t in (L.make_module_extension(4, Fraction(-3, 2)), L.make_L_prefamily()):
+        check_against_references(t)
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.builds(Fraction, st.integers(min_value=-5, max_value=5), st.integers(min_value=1, max_value=4)),
+    rational_polys(("p", "q")),
+)
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+    st.just(n), st.dictionaries(st.integers(min_value=0, max_value=n - 1), coefficients, max_size=n)
+)))
+def test_sparse_and_dense_built_elements_agree(case):
+    dim, values = case
+    dense_coords = tuple(L.as_poly(values.get(i, 0)) for i in range(dim))
+    dense = L.Element(dense_coords)
+    # built from a dict in descending insertion order, zero values included
+    sparse = L.Element.of(dim, {k: L.as_poly(values[k]) for k in sorted(values, reverse=True)})
+    assert sparse == dense and hash(sparse) == hash(dense)
+    assert sparse.coords == dense.coords == dense_coords
+    assert sparse.is_zero() == dense.is_zero() == (not any(dense_coords))
+    assert list(sparse.nonzero) == sorted(sparse.nonzero) == list(dense.nonzero)
+    assert all(sparse.nonzero.values())
+    assert L.element_from([values.get(i, 0) for i in range(dim)]) == sparse
+    basis = tuple(f"b{i}" for i in range(dim))
+    assert L.format_element(sparse, basis) == ref_format_element(dense, basis)
+    assert sparse - dense == L.zero_element(dim) and (sparse + dense) == 2 * dense
