@@ -12,25 +12,24 @@ the command line front end imports only what each command runs.
 from importlib import import_module
 
 _EXPORTS = {
-    "analysis": (
-        "DISTINGUISHED", "INCONCLUSIVE", "BasisChange", "ConstraintSet", "ProfileReport",
-        "apply_basis_change", "compare_profiles", "extract_constraints", "verify_isomorphism",
-    ),
+    "analysis": ("ConstraintSet", "extract_constraints"),
     "algfile": ("ChangeDocument", "parse_algebra", "parse_change", "serialize_algebra"),
+    "basis": ("BasisChange", "apply_basis_change", "verify_isomorphism"),
     "constructions": (
         "FamilySpec", "make_abelian", "make_direct_sum", "make_dzhumadildaev",
         "make_generic_family", "make_L_family", "make_L_prefamily", "make_module_extension",
         "make_r2", "make_sl2", "make_sl2_module",
     ),
-    "core": (
-        "AlgebraTable", "Element", "InvariantProfile", "QuotientMap", "Subspace", "Verdict",
-        "element_from", "format_element", "span", "zero_element",
-    ),
+    "core": ("AlgebraTable", "Element", "Verdict", "element_from", "format_element", "zero_element"),
     "errors": (
         "AdmissibilityError", "AlgebraError", "BasisChangeError", "DimensionMismatchError",
         "MissingParameterError", "NotAnIdealError", "ParametricError", "ParseError",
     ),
     "scalars": ("ONE", "ZERO", "Poly", "as_poly", "normalize_primitive"),
+    "spaces": (
+        "DISTINGUISHED", "INCONCLUSIVE", "InvariantProfile", "ProfileReport", "QuotientMap",
+        "Subspace", "compare_profiles", "span",
+    ),
 }
 # public name -> the submodule that defines it, imported on first access
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

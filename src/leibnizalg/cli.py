@@ -6,8 +6,8 @@ parametric-input and admissibility errors. Reports are plain text; pass
 --porcelain for stable tab-separated key/value lines.
 
 Every command parses or writes .alg text, so algfile and core load with this
-module; analysis and constructions are imported by the commands that use
-them, which keeps the start-up of `check`, `ideal` and `quotient` small.
+module; every other module loads only in the commands that run it (README,
+"Library layout"), which keeps each command's start-up small.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def _read_table(path: str) -> AlgebraTable:
 
 
 def _read_change(path: str, t: AlgebraTable):
-    from .analysis import BasisChange
+    from .basis import BasisChange
 
     if path == "identity":
         return BasisChange.identity(t.dim)
@@ -186,7 +186,7 @@ def _cmd_constraints(args) -> int:
 
 
 def _cmd_change_basis(args) -> int:
-    from .analysis import apply_basis_change
+    from .basis import apply_basis_change
 
     t = _read_table(args.file)
     moved = apply_basis_change(t, _read_change(args.change, t))
@@ -195,7 +195,7 @@ def _cmd_change_basis(args) -> int:
 
 
 def _cmd_verify_iso(args) -> int:
-    from .analysis import verify_isomorphism
+    from .basis import verify_isomorphism
 
     t1 = _read_table(args.file1)
     t2 = _read_table(args.file2)
@@ -243,7 +243,7 @@ def _cmd_profile(args) -> int:
                 print(f"  {field:<22}{_fmt_value(d[field])}")
     pairs = [(a, b) for i, a in enumerate(profiles) for b in profiles[i + 1 :]]
     if pairs:
-        from .analysis import ProfileReport
+        from .spaces import ProfileReport
     for (_, t1, p1), (_, t2, p2) in pairs:
         report = ProfileReport.compare(p1, p2)
         if args.porcelain:

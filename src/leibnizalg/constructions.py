@@ -28,9 +28,9 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 
-from .core import AlgebraTable, Matrix, Record, mat_from_rows
+from .core import AlgebraTable, Matrix, Record
 from .errors import AdmissibilityError, DimensionMismatchError, ParametricError
-from .scalars import Poly
+from .scalars import ZERO, Poly
 
 Rat = Fraction | int
 
@@ -79,16 +79,17 @@ def make_sl2_module(m: int) -> tuple[tuple[str, ...], Matrix, Matrix, Matrix]:
     if m < 0:
         raise AdmissibilityError("module weight must be a nonnegative integer")
     n = m + 1
-    e_rows = [[0] * n for _ in range(n)]
-    f_rows = [[0] * n for _ in range(n)]
-    h_rows = [[0] * n for _ in range(n)]
-    for k in range(n):
-        h_rows[k][k] = m - 2 * k
-        if k < m:
-            f_rows[k + 1][k] = 1
-        if k > 0:
-            e_rows[k - 1][k] = -k * (m + 1 - k)
-    return module_basis(m), mat_from_rows(e_rows), mat_from_rows(f_rows), mat_from_rows(h_rows)
+
+    def matrix(entries: dict[tuple[int, int], int]) -> Matrix:
+        return tuple(
+            tuple(Poly.const(entries[r, c]) if (r, c) in entries else ZERO for c in range(n))
+            for r in range(n)
+        )
+
+    e = matrix({(k - 1, k): -k * (m + 1 - k) for k in range(1, n)})
+    f = matrix({(k + 1, k): 1 for k in range(m)})
+    h = matrix({(k, k): m - 2 * k for k in range(n)})
+    return module_basis(m), e, f, h
 
 
 def _module_products(m: int) -> dict[tuple[str, str], dict[str, Rat]]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 import leibnizalg as L
+from leibnizalg.basis import mat_constant
 
 # one line per acceptance criterion, echoed after the run (see
 # test_acceptance.report); kept here so the summary hook sees them
@@ -207,3 +208,30 @@ def ref_residual(t: L.AlgebraTable, i: int, j: int, k: int) -> L.Element:
     t2 = ref_bracket_basis_right(t, t.table[i][j], k)
     t3 = ref_bracket_basis_right(t, t.table[i][k], j)
     return t1 - t2 + t3
+
+
+# ---------------------------------------------------------------------------
+# matrix helpers that only the tests use
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def submodule_closure(ops, seed: L.Element) -> L.Subspace:
+    """Smallest subspace containing seed and stable under all operators."""
+    ambient = seed.dim
+    const_ops = [mat_constant(op) for op in ops]
+    current = L.span([seed], ambient)
+    while True:
+        vectors = list(current.rows)
+        for op in const_ops:
+            for row in current.rows:
+                image = tuple(
+                    sum((op[i][j] * row[j] for j in range(ambient)), Fraction(0)) for i in range(ambient)
+                )
+                vectors.append(image)
+        nxt = L.span(vectors, ambient)
+        if nxt.dim == current.dim:
+            return current
+        current = nxt

@@ -11,11 +11,10 @@ import time
 from fractions import Fraction
 
 import leibnizalg as L
-from leibnizalg.analysis import BasisChange
-from leibnizalg.core import mat_mul, mat_sub, submodule_closure
+from leibnizalg.basis import BasisChange, mat_mul
 from leibnizalg.scalars import Poly
 
-from conftest import CRITERION_LINES, constant_fixture_tables, random_table
+from conftest import CRITERION_LINES, constant_fixture_tables, mat_sub, random_table, submodule_closure
 
 
 def report(num: int, ok: bool, note: str = "") -> None:

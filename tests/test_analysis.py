@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leibnizalg as L
-from leibnizalg.analysis import BasisChange
-from leibnizalg.core import det_and_adjugate, mat_identity, mat_mul
+from leibnizalg.basis import BasisChange, det_and_adjugate, mat_identity, mat_mul
 from leibnizalg.scalars import Poly, _join_terms, format_term, mono_cmp, normalize_primitive
 
 from conftest import (

@@ -374,17 +374,53 @@ try:
     runpy.run_module("leibnizalg", run_name="__main__", alter_sys=True)
 except SystemExit:
     pass
-print(json.dumps(sorted(set(sys.modules) - before)))
+added = sorted(set(sys.modules) - before)
+defined = {name for m in added if m.startswith("leibnizalg") for name in vars(sys.modules[m])}
+print(json.dumps({"modules": added, "defined": sorted(defined)}))
 """
+
+
+def imports_of(cwd, *argv):
+    """The modules a fresh `python -m leibnizalg ARGV` loads, and the names they define."""
+    proc = fresh_python("-c", IMPORTS_OF, *argv, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    return set(got["modules"]), set(got["defined"])
 
 
 @pytest.mark.parametrize("argv", [("check", "b.alg"), ("ideal", "b.alg"), ("quotient", "b.alg"), ("profile", "b.alg")])
 def test_simple_commands_import_neither_analysis_nor_constructions(small_inputs, argv):
-    proc = fresh_python("-c", IMPORTS_OF, *argv, cwd=small_inputs)
-    assert proc.returncode == 0, proc.stderr
-    added = set(json.loads(proc.stdout.splitlines()[-1]))
+    added, _ = imports_of(small_inputs, *argv)
     assert "leibnizalg.core" in added
     assert not added & NEVER_AFTER_SIMPLE_COMMANDS
+
+
+# what each optional layer defines; a command that skips the layer must not
+# load the module, nor compile these names anywhere else
+LAYER_NAMES = {
+    "leibnizalg.spaces": {"Echelon", "InvariantProfile", "QuotientMap", "Subspace", "span"},
+    "leibnizalg.basis": {"BasisChange", "det_and_adjugate", "inverse_constant", "mat_identity", "mat_mul"},
+}
+BOTH_LAYERS = ("leibnizalg.spaces", "leibnizalg.basis")
+SKIPPED_LAYERS = [
+    (("check", "b.alg"), BOTH_LAYERS),
+    (("check", "b.alg", "--mode", "lie"), BOTH_LAYERS),
+    (("constraints", "prefamily.alg"), BOTH_LAYERS),
+    (("ideal", "b.alg"), ("leibnizalg.basis",)),
+    (("quotient", "b.alg"), ("leibnizalg.basis",)),
+    (("profile", "b.alg"), ("leibnizalg.basis",)),
+    (("profile", "sl2.alg", "a.alg", "b.alg"), ("leibnizalg.basis",)),
+    (("construct", "sl2"), ("leibnizalg.basis",)),
+    (("construct", "dzhumadildaev", "--m", "2"), ("leibnizalg.basis",)),
+]
+
+
+@pytest.mark.parametrize(("argv", "skipped"), SKIPPED_LAYERS, ids=[" ".join(a) for a, _ in SKIPPED_LAYERS])
+def test_command_compiles_only_its_layers(small_inputs, argv, skipped):
+    added, defined = imports_of(small_inputs, *argv)
+    for module in skipped:
+        assert module not in added
+        assert not LAYER_NAMES[module] & defined, module
 
 
 def test_package_namespace_is_lazy_and_complete():
@@ -423,7 +459,7 @@ def test_no_typing_import_without_site():
     script = """\
 import sys
 before = "typing" in sys.modules
-import leibnizalg.cli, leibnizalg.analysis, leibnizalg.constructions
+import leibnizalg.cli, leibnizalg.analysis, leibnizalg.basis, leibnizalg.constructions, leibnizalg.spaces
 print(before, "typing" in sys.modules)
 """
     proc = fresh_python("-S", "-c", script)

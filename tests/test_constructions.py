@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 import leibnizalg as L
-from leibnizalg.core import mat_mul, mat_sub
+from leibnizalg.basis import mat_mul
 from leibnizalg.scalars import Poly
+
+from conftest import mat_sub
 
 
 def test_sl2_table(sl2):

@@ -6,24 +6,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leibnizalg as L
-from leibnizalg.core import (
-    det_and_adjugate,
-    mat_from_rows,
-    mat_identity,
-    mat_mul,
-    mat_sub,
-    rref,
-    submodule_closure,
-)
+from leibnizalg.basis import BasisChange, det_and_adjugate, mat_from_rows, mat_identity, mat_mul
 from leibnizalg.scalars import Poly
 
 from conftest import (
     constant_fixture_tables,
+    mat_sub,
     rational_polys,
     ref_residual,
     small_rationals,
     sparse_constant_tables,
+    submodule_closure,
 )
+
+
+def rref(rows, ambient):
+    """(rows, pivots) of the reduced row echelon form, as span computes it."""
+    sub = L.span(rows, ambient)
+    return sub.rows, sub.pivots
 
 
 def test_element_arithmetic():
@@ -275,6 +275,102 @@ def test_check_leibniz_matches_residual_reference(t):
     if first is not None:
         assert verdict.witness == tuple(t.basis[n] for n in first)
         assert verdict.residual == residual
+
+
+# the all-triples loops that check_leibniz and check_lie ran before they
+# visited only the triples with a nonzero product, kept as references
+
+
+def ref_check_leibniz(t):
+    rows = t.constants()
+    for i, j, k in itertools.product(range(t.dim), repeat=3):
+        ij, jk, ik = rows[i][j], rows[j][k], rows[i][k]
+        if not jk and not ij and not ik:
+            continue
+        acc = {}
+        for l, c in jk:
+            for m, d in rows[i][l]:
+                acc[m] = acc.get(m, 0) + c * d
+        for l, c in ij:
+            for m, d in rows[l][k]:
+                acc[m] = acc.get(m, 0) - c * d
+        for l, c in ik:
+            for m, d in rows[l][j]:
+                acc[m] = acc.get(m, 0) + c * d
+        if any(acc.values()):
+            witness = (t.basis[i], t.basis[j], t.basis[k])
+            return L.Verdict("FAIL", witness, t.residual(i, j, k), "Leibniz identity fails")
+    return L.Verdict("PASS")
+
+
+def ref_check_lie(t):
+    rows = t.constants()
+    for i in range(t.dim):
+        for j in range(i, t.dim):
+            acc = {}
+            for k, c in rows[i][j] + rows[j][i]:
+                acc[k] = acc.get(k, 0) + c
+            if any(acc.values()):
+                witness = (t.basis[i], t.basis[j])
+                return L.Verdict("FAIL", witness, t.table[i][j] + t.table[j][i], "antisymmetry fails")
+    for i, j, k in itertools.product(range(t.dim), repeat=3):
+        ij, jk, ki = rows[i][j], rows[j][k], rows[k][i]
+        if not ij and not jk and not ki:
+            continue
+        acc = {}
+        for (l, c), right in [(lc, k) for lc in ij] + [(lc, i) for lc in jk] + [(lc, j) for lc in ki]:
+            for m, d in rows[l][right]:
+                acc[m] = acc.get(m, 0) + c * d
+        if any(acc.values()):
+            witness = (t.basis[i], t.basis[j], t.basis[k])
+            return L.Verdict("FAIL", witness, -t.residual(i, j, k), "Jacobi identity fails")
+    return L.Verdict("PASS")
+
+
+def perturbed_fixture(rng):
+    """A known Leibniz table on a shuffled basis; half the time one
+    coordinate of [a, b] is moved by a small rational, and that of [b, a]
+    by its negative, which keeps a Lie table antisymmetric."""
+    t = rng.choice(constant_fixture_tables())
+    perm = list(range(t.dim))
+    rng.shuffle(perm)
+    t = L.apply_basis_change(t, BasisChange.from_rows(
+        [[1 if j == perm[i] else 0 for j in range(t.dim)] for i in range(t.dim)]
+    ))
+    if rng.random() < 0.5:
+        return t
+    products = {
+        (t.basis[i], t.basis[j]): {t.basis[k]: c for k, c in entry}
+        for i, row in enumerate(t.constants()) for j, entry in enumerate(row) if entry
+    }
+    a, b, k = (rng.choice(t.basis) for _ in range(3))
+    delta = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+    for pair, move in (((a, b), delta), ((b, a), -delta)):
+        coords = products.setdefault(pair, {})
+        coords[k] = coords.get(k, 0) + move
+    return L.AlgebraTable.from_products("perturbed", t.basis, products)
+
+
+def test_sparse_triple_walk_matches_all_triples():
+    rng = random.Random(11)
+    verdicts = []
+    for _ in range(300):
+        t = perturbed_fixture(rng)
+        leibniz, lie = t.check_leibniz(), t.check_lie()
+        assert leibniz == ref_check_leibniz(t), t
+        assert lie == ref_check_lie(t), t
+        verdicts.append((leibniz.passed, lie.detail))
+    # both outcomes, and Jacobi witnesses past the antisymmetry check, occur
+    assert {passed for passed, _ in verdicts} == {True, False}
+    assert sum(not passed for passed, _ in verdicts) >= 50
+    assert sum(detail == "Jacobi identity fails" for _, detail in verdicts) >= 5
+
+
+@settings(deadline=None, max_examples=80)
+@given(sparse_constant_tables())
+def test_sparse_triple_walk_matches_all_triples_on_random_tables(t):
+    assert t.check_leibniz() == ref_check_leibniz(t)
+    assert t.check_lie() == ref_check_lie(t)
 
 
 def test_check_leibniz_parametric_raises(prefamily):

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leibnizalg as L
-from leibnizalg.core import mat_from_rows, mat_mul, mat_sub
+from leibnizalg.basis import mat_from_rows, mat_mul
 from leibnizalg.scalars import Poly, _join_terms, format_term
 
-from conftest import parametric_tables, random_table, rational_polys, sparse_constant_tables
+from conftest import mat_sub, parametric_tables, random_table, rational_polys, sparse_constant_tables
 
 
 def ref_format_element(el, basis):
