@@ -13,20 +13,26 @@ from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 
 from .core import AlgebraTable, Record, scaled_residual, sparse_triples
-from .scalars import Mono, Poly, poly_sort_key, primitive_terms
+from .scalars import Poly, poly_sort_key, primitive_terms
 
 
 class ConstraintSet(Record):
-    """A set of primitive normalized polynomials with set semantics."""
+    """A set of polynomials, held as a tuple in canonical order.
+
+    Canonical order is poly_sort_key order: term count, then the terms in
+    canonical ascending order. Iteration follows it, and two sets are equal
+    exactly when their tuples are.
+    """
 
     __slots__ = ("polys",)
 
-    def __init__(self, polys: frozenset[Poly]):
+    def __init__(self, polys: tuple[Poly, ...]):
+        # polys is trusted to be distinct and in canonical order; of() makes it so
         self._fill(polys)
 
     @classmethod
     def of(cls, items: Iterable[Poly]) -> "ConstraintSet":
-        return cls(frozenset(items))
+        return cls(tuple(sorted(set(items), key=poly_sort_key)))
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -35,7 +41,7 @@ class ConstraintSet(Record):
         return p in self.polys
 
     def __iter__(self) -> Iterator[Poly]:
-        return iter(sorted(self.polys, key=poly_sort_key))
+        return iter(self.polys)
 
     def violated_at(self, assignment: Mapping[str, Fraction | int]) -> Poly | None:
         """First member (in canonical order) that does not vanish, if any."""
@@ -51,18 +57,18 @@ class ConstraintSet(Record):
 def extract_constraints(t: AlgebraTable) -> ConstraintSet:
     """Polynomial conditions equivalent to the Leibniz identity for t.
 
-    Residuals are computed in integers on the scaled structure constants;
-    a primitive form ignores the scale, so each nonzero coordinate is made
-    primitive as it stands and only the distinct ones become Polys. Each
-    keeps its terms in the order the kernel produced them: printing sorts
-    them, and that sort is slower on terms in hash order.
+    Residuals are computed in integers on the scaled structure constants,
+    with each monomial packed into one int whose order is the canonical
+    monomial order. A primitive form ignores the scale, so each nonzero
+    coordinate is made primitive as it stands. The distinct forms are sorted
+    once, by term count and then their (packed monomial, coefficient) terms
+    ascending, which is poly_sort_key order, and only they become Polys.
     """
-    _, rows = t.scaled_rows()
-    found: dict[frozenset[tuple[Mono, int]], dict[Mono, int]] = {}
+    _, rows, unpack = t.scaled_rows()
+    found: dict[frozenset[tuple[int, int]], dict[int, int]] = {}
     for i, j, k in sparse_triples(rows):
         for terms in scaled_residual(rows, i, j, k).values():
-            prim = primitive_terms(terms)
+            prim = primitive_terms(terms, min(terms))
             found.setdefault(frozenset(prim.items()), prim)
-    return ConstraintSet.of(
-        Poly({mono: Fraction(c) for mono, c in prim.items()}) for prim in found.values()
-    )
+    forms = sorted((sorted(prim.items()) for prim in found.values()), key=lambda items: (len(items), items))
+    return ConstraintSet(tuple(Poly({unpack(m): Fraction(c) for m, c in items}) for items in forms))

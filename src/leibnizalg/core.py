@@ -10,8 +10,9 @@ vanishes for all basis triples exactly when the table satisfies the
 (right) Leibniz identity; a Lie table additionally has [x, y] = -[y, x].
 On the Poly path (residual, and extract_constraints in analysis) it is
 computed in integers: AlgebraTable.scaled_rows multiplies every entry by
-the lcm D of the table's denominators and scaled_residual returns D^2 times
-the residual, with no Fraction or Poly arithmetic.
+the lcm D of the table's denominators and packs each monomial into one int
+(scalars.mono_packing), and scaled_residual returns D^2 times the residual,
+multiplying monomials by adding ints, with no Fraction or Poly arithmetic.
 
 Constant tables have one more representation, their sparse structure
 constants (AlgebraTable.constants), built once per table. The identity
@@ -24,21 +25,21 @@ called; basis changes and their matrices are in basis. So `check` and
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
 
 from .errors import DimensionMismatchError, MissingParameterError, ParametricError
-from .scalars import _F0, ONE, ZERO, Coeffish, Mono, Poly, as_poly, format_term, mono_mul, _join_terms
+from .scalars import _F0, ONE, ZERO, Coeffish, Mono, Poly, as_poly, format_term, mono_packing, _join_terms
 
 Matrix = tuple[tuple[Poly, ...], ...]
 # a constant vector {coordinate: nonzero value}; absent coordinates are zero
 SparseVec = dict[int, Fraction]
 # constants()[i][j] lists the nonzero (k, coefficient) pairs of [b_i, b_j]
 Constants = list[list[list[tuple[int, Fraction]]]]
-# scaled_rows()[1][i][j] lists the nonzero (k, {monomial: integer}) of D*[b_i, b_j]
-ScaledRows = list[list[list[tuple[int, dict[Mono, int]]]]]
+# scaled_rows()[1][i][j] lists the nonzero (k, {packed monomial: integer}) of D*[b_i, b_j]
+ScaledRows = list[list[list[tuple[int, dict[int, int]]]]]
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -175,24 +176,26 @@ def sparse_element(dim: int, vec: SparseVec) -> Element:
     return Element.of(dim, {k: Poly.const(x) for k, x in vec.items()})
 
 
-def scaled_residual(rows: ScaledRows, i: int, j: int, k: int) -> dict[int, dict[Mono, int]]:
+def scaled_residual(rows: ScaledRows, i: int, j: int, k: int) -> dict[int, dict[int, int]]:
     """The nonzero coordinates of D^2*r(b_i, b_j, b_k), in integers.
 
     rows are the scaled structure constants D*[b_i, b_j] of
-    AlgebraTable.scaled_rows. Every term of the residual is a product of two
-    table entries, so scaling each entry by D scales the residual by D^2.
+    AlgebraTable.scaled_rows, on packed monomials. Every term of the
+    residual is a product of two table entries, so scaling each entry by D
+    scales the residual by D^2, and the product of two packed monomials is
+    their sum.
     """
     row_i = rows[i]
     pairs = [(c, row_i[l]) for l, c in rows[j][k]]
     pairs += [({mono: -x for mono, x in c.items()}, rows[l][k]) for l, c in row_i[j]]
     pairs += [(c, rows[l][j]) for l, c in row_i[k]]
-    acc: dict[int, dict[Mono, int]] = {}
+    acc: dict[int, dict[int, int]] = {}
     for c, entry in pairs:
         for m, e in entry:
             out = acc.setdefault(m, {})
             for m1, x in c.items():
                 for m2, y in e.items():
-                    mono = mono_mul(m1, m2)
+                    mono = m1 + m2
                     out[mono] = out.get(mono, 0) + x * y
     nonzero = ((m, {mono: x for mono, x in out.items() if x}) for m, out in acc.items())
     return {m: terms for m, terms in nonzero if terms}
@@ -200,19 +203,23 @@ def scaled_residual(rows: ScaledRows, i: int, j: int, k: int) -> dict[int, dict[
 
 def sparse_triples(rows: Sequence[Sequence[list]]) -> Iterator[tuple[int, int, int]]:
     """The basis triples (i, j, k), in lexicographic order, at which
-    [b_i, b_j], [b_j, b_k] or [b_i, b_k] is nonzero.
+    [b_j, b_k], [b_i, b_k] or some [b_l, b_k] with b_l in the support of
+    [b_i, b_j] is nonzero.
 
-    rows[i][j] lists the nonzero coordinates of [b_i, b_j]. When it is
-    nonempty every k is visited; otherwise only the k, ascending, in the
-    nonzero columns of rows j and i. A residual (or, on an antisymmetric
-    table, a Jacobi sum) at a skipped triple is a sum of zero products.
+    rows[i][j] lists the nonzero (l, coefficient) coordinates of [b_i, b_j],
+    so the k visited are the union of the nonzero columns of rows j, i and
+    each such l, ascending. A residual (or, on an antisymmetric table, a
+    Jacobi sum) at a skipped triple is a sum of zero products.
     """
     every = range(len(rows))
     cols = [{k for k, entry in enumerate(row) if entry} for row in rows]
     for i in every:
         row_i, cols_i = rows[i], cols[i]
         for j in every:
-            for k in every if row_i[j] else sorted(cols[j] | cols_i):
+            ks = cols[j] | cols_i
+            for l, _ in row_i[j]:
+                ks |= cols[l]
+            for k in sorted(ks):
                 yield i, j, k
 
 
@@ -375,34 +382,35 @@ class AlgebraTable(Record):
                         acc[k] = acc[k] + scale * ck if k in acc else scale * ck
         return Element.of(self.dim, acc)
 
-    def scaled_rows(self) -> tuple[int, ScaledRows]:
-        """(D, rows): D is the lcm of every coefficient denominator in the
-        table and rows[i][j] lists the nonzero (k, {monomial: integer})
-        coordinates of D*[b_i, b_j]. Built afresh on every call."""
-        d = lcm(*{
-            c.denominator
-            for row in self.table
-            for entry in row
-            for poly in entry.nonzero.values()
-            for c in poly.terms.values()
-        })
+    def scaled_rows(self) -> tuple[int, ScaledRows, Callable[[int], Mono]]:
+        """(D, rows, unpack): D is the lcm of every coefficient denominator in
+        the table, rows[i][j] lists the nonzero (k, {packed monomial: integer})
+        coordinates of D*[b_i, b_j], and unpack maps a packed monomial of
+        rows, or of a product of two of their monomials, back to a Mono.
+        Monomials are packed by scalars.mono_packing over the declared
+        parameters, sized for the table's largest exponent. Built afresh on
+        every call."""
+        polys = [poly for row in self.table for entry in row for poly in entry.nonzero.values()]
+        d = lcm(*{c.denominator for poly in polys for c in poly.terms.values()})
+        top = max((e for poly in polys for mono in poly.terms for _, e in mono), default=0)
+        pack, unpack = mono_packing(self.params, top)
         rows = [
             [
                 [
-                    (k, {mono: c.numerator * (d // c.denominator) for mono, c in poly.terms.items()})
+                    (k, {pack(mono): c.numerator * (d // c.denominator) for mono, c in poly.terms.items()})
                     for k, poly in entry.nonzero.items()
                 ]
                 for entry in row
             ]
             for row in self.table
         ]
-        return d, rows
+        return d, rows, unpack
 
     def residual(self, i: int, j: int, k: int) -> Element:
         """r(b_i, b_j, b_k) = [b_i,[b_j,b_k]] - [[b_i,b_j],b_k] + [[b_i,b_k],b_j]."""
-        d, rows = self.scaled_rows()
+        d, rows, unpack = self.scaled_rows()
         return Element.of(self.dim, {
-            m: Poly({mono: Fraction(c, d * d) for mono, c in terms.items()})
+            m: Poly({unpack(mono): Fraction(c, d * d) for mono, c in terms.items()})
             for m, terms in scaled_residual(rows, i, j, k).items()
         })
 

@@ -23,7 +23,7 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -74,6 +74,42 @@ def MONO_KEY(m: Mono) -> tuple:
     return mono_degree(m), tuple((tuple([-ord(ch) for ch in name]) + (1,), e) for name, e in m)
 
 
+def mono_packing(names: Iterable[str], top: int) -> tuple[Callable[[Mono], int], Callable[[int], Mono]]:
+    """(pack, unpack) between monomials in names and ints.
+
+    pack gives each name an exponent field w = (2*top).bit_length() bits
+    wide, the first name in string order in the most significant field, and
+    puts the total degree above all the fields. For monomials whose
+    exponents are at most top, pack(a) + pack(b) == pack(mono_mul(a, b)),
+    since no field of the product exceeds 2*top, and integer order is
+    MONO_KEY order. unpack(pack(m)) == m; it visits only the nonzero fields.
+    """
+    ordered = sorted(names)
+    w = (2 * top).bit_length()
+    shift = {name: w * s for s, name in enumerate(reversed(ordered))}
+    field_of = ordered[::-1]
+    degree_shift = w * len(ordered)
+    fields = (1 << degree_shift) - 1
+
+    def pack(m: Mono) -> int:
+        packed = mono_degree(m) << degree_shift
+        for name, e in m:
+            packed += e << shift[name]
+        return packed
+
+    def unpack(packed: int) -> Mono:
+        rest = packed & fields
+        out = []
+        while rest:
+            s = (rest.bit_length() - 1) // w
+            e = rest >> (w * s)
+            rest -= e << (w * s)
+            out.append((field_of[s], e))
+        return tuple(out)
+
+    return pack, unpack
+
+
 def mono_str(m: Mono) -> str:
     """Render a monomial: factors in ascending name order, `^` for powers."""
     return "*".join(name if e == 1 else f"{name}^{e}" for name, e in m)
@@ -84,12 +120,16 @@ def format_term(coeff: Fraction, mono: Mono, symbol: str | None = None) -> tuple
 
     body never starts with a minus; the caller joins terms with ` + ` and
     ` - `. symbol, when given, is a basis symbol appended as a last factor.
+    The coefficient is read as its numerator and denominator, so the text
+    takes only int operations.
     """
-    sign = -1 if coeff < 0 else 1
-    c = abs(coeff)
+    num, den = coeff.numerator, coeff.denominator
+    sign = 1
+    if num < 0:
+        sign, num = -1, -num
     factors = []
-    if c != 1 or (not mono and symbol is None):
-        factors.append(str(c))
+    if num != 1 or den != 1 or (not mono and symbol is None):
+        factors.append(str(num) if den == 1 else f"{num}/{den}")
     if mono:
         factors.append(mono_str(mono))
     if symbol is not None:
@@ -290,12 +330,12 @@ def as_poly(value: Coeffish) -> Poly:
     return Poly.const(value)
 
 
-def primitive_terms(terms: Mapping[Mono, int]) -> dict[Mono, int]:
-    """Integer terms divided by their gcd, the sign fixed so that the first
-    coefficient in canonical (ascending) term order is positive. terms holds
-    no zero coefficient and is not empty."""
+def primitive_terms(terms: Mapping[object, int], lead: object) -> dict:
+    """Integer terms divided by their gcd, the sign fixed so that the
+    coefficient of the lead monomial (the first in canonical ascending term
+    order) is positive. terms holds no zero coefficient and is not empty."""
     g = gcd(*terms.values())
-    if terms[min(terms, key=MONO_KEY)] < 0:
+    if terms[lead] < 0:
         g = -g
     return {mono: c // g for mono, c in terms.items()}
 
@@ -310,10 +350,12 @@ def normalize_primitive(p: Poly) -> Poly:
         raise ValueError("cannot normalize the zero polynomial")
     d = lcm(*(c.denominator for c in p.terms.values()))
     scaled = {mono: c.numerator * (d // c.denominator) for mono, c in p.terms.items()}
-    return Poly({mono: Fraction(c) for mono, c in primitive_terms(scaled).items()})
+    prim = primitive_terms(scaled, min(scaled, key=MONO_KEY))
+    return Poly({mono: Fraction(c) for mono, c in prim.items()})
 
 
 def poly_sort_key(p: Poly):
-    """Deterministic order on polynomials, used to print constraint sets."""
+    """Canonical order on polynomials: term count, then the terms in
+    canonical order. ConstraintSet holds its members in this order."""
     terms = p.sorted_terms()
     return (len(terms), tuple((MONO_KEY(m), c) for m, c in terms))

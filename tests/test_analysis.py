@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import leibnizalg as L
 from leibnizalg.basis import BasisChange, det_and_adjugate, mat_identity, mat_mul
-from leibnizalg.scalars import Poly, _join_terms, format_term, mono_cmp, normalize_primitive
+from leibnizalg.scalars import Poly, _join_terms, format_term, mono_cmp, normalize_primitive, poly_sort_key
 
 from conftest import (
     invertible_changes,
@@ -17,6 +17,7 @@ from conftest import (
     ref_residual,
     small_rationals,
     sparse_constant_tables,
+    wide_rationals,
 )
 
 LAM, A, B = Poly.param("l"), Poly.param("a"), Poly.param("b")
@@ -247,6 +248,64 @@ def test_scaled_kernel_matches_dense_reference(data):
     index = st.integers(min_value=0, max_value=t.dim - 1)
     for i, j, k in data.draw(st.lists(st.tuples(index, index, index), min_size=1, max_size=6)):
         assert t.residual(i, j, k) == ref_residual(t, i, j, k)
+
+
+@st.composite
+def tables_with_top_exponent(draw):
+    """(top, table): a random parametric table of dim <= 4 whose largest
+    exponent is exactly top, one of the values at which the packed
+    exponent field (2*top).bit_length() is about to widen or just widened."""
+    top = draw(st.sampled_from((1, 2, 3, 4, 7, 8)))
+    # sorted, so that each monomial lists its names in order, as Mono requires
+    params = tuple(sorted(draw(st.lists(st.sampled_from(("a", "a_1", "ab", "b")), min_size=1, max_size=3, unique=True))))
+    dim = draw(st.integers(min_value=1, max_value=4))
+    basis = tuple(f"b{i}" for i in range(dim))
+    exponents = st.lists(st.integers(min_value=0, max_value=top), min_size=len(params), max_size=len(params))
+    polys = st.lists(st.tuples(exponents, wide_rationals), min_size=1, max_size=3).map(
+        lambda terms: L.Poly.from_terms((tuple((n, e) for n, e in zip(params, exps) if e), c) for exps, c in terms)
+    )
+    index = st.sampled_from(basis)
+    products = draw(st.dictionaries(st.tuples(index, index), st.dictionaries(index, polys, max_size=2), max_size=2 * dim))
+    # one entry holds a term of degree exactly top in one parameter
+    pair, k, name = draw(st.tuples(index, index)), draw(index), draw(st.sampled_from(params))
+    products.setdefault(pair, {})[k] = draw(wide_rationals) * L.Poly({((name, top),): Fraction(1)})
+    return top, L.AlgebraTable.from_products("top_exponent", basis, products, params=params)
+
+
+@settings(deadline=None, max_examples=60)
+@given(tables_with_top_exponent())
+def test_packed_kernel_matches_dense_reference_at_field_widths(case):
+    top, t = case
+    exps = [e for row in t.table for entry in row for p in entry.nonzero.values() for m in p.terms for _, e in m]
+    assert max(exps) == top
+    got, want = L.extract_constraints(t), ref_extract_constraints(t)
+    assert got == want
+    assert [str(p) for p in got] == [str(p) for p in want]
+
+
+CANONICAL_CASES = [
+    L.FamilySpec(1, include_sl2_R_products=True, include_sl2_defects=True),
+    L.FamilySpec(2, include_sl2_R_products=True),
+    L.FamilySpec(4),
+]
+
+
+@pytest.mark.parametrize("spec", CANONICAL_CASES, ids=repr)
+def test_constraint_set_is_held_in_canonical_order(spec):
+    cs = L.extract_constraints(L.make_generic_family(spec))
+    members = list(cs)
+    assert members == sorted(cs, key=poly_sort_key)
+    for p in members:
+        assert list(p.terms.items()) == p.sorted_terms()
+    rng = random.Random(len(members))
+    # equal but distinct Polys, with their terms in another order, plus duplicates
+    fresh = [Poly(dict(reversed(p.terms.items()))) for p in members]
+    shuffled = fresh + rng.sample(members, len(members) // 2)
+    rng.shuffle(shuffled)
+    again = L.ConstraintSet.of(shuffled)
+    assert again == cs and hash(again) == hash(cs)
+    assert list(again) == members and len(again) == len(cs)
+    assert all(p in again for p in fresh)
 
 
 @given(st.integers(min_value=1, max_value=3).flatmap(

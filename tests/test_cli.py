@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -140,6 +141,73 @@ def test_constraints_output(capsys, tmp_path):
     assert out == "l - a*l\n"
     code, out, _ = run(capsys, "constraints", path, "--porcelain")
     assert out == "count\t1\nconstraint\tl - a*l\n"
+
+
+# sha256 of the plain and --porcelain `constraints` output of every generic
+# table (m in {1, 2, 4, 6}, each flag combination) and of the prefamily, as
+# printed before the kernel packed its monomials into ints
+CONSTRAINT_DIGESTS = [
+    ("generic --m 1",
+     "4f115bf243382a1812d68bf056b6ea0d33b9924a2483d402bad62f7e97cf99e7",
+     "ffcc58811bcee28d472a3ca75521f8ce30a54321688c427fd7231c3b44477081"),
+    ("generic --m 1 --sl2-defects",
+     "46ecae8e0cdae91543082912800e1ecf0c012f3f5c0d8e146cd523e7e71cc39a",
+     "3319129b5fde27273f1478c2baa22115dab22ca153ebd33e04ac4572ac9b6c37"),
+    ("generic --m 1 --sl2-r-products",
+     "a071b965a20e006493666bc11e398c0d1098446287c70780f33ae2a63c7bb4ad",
+     "f9673f4f8b6ddac0f508a8449bbc498feff697a594a8ccbe5bd1fd2e7d98dcf7"),
+    ("generic --m 1 --sl2-r-products --sl2-defects",
+     "5aa5d831b4930aa9d92b6173965a167125d4b1c6b12ac3889634a074faae6ebd",
+     "e9551769c74e4c3b1c2873f519c8e65e8a3379f89553e812fc9d7b35b30e32c9"),
+    ("generic --m 2",
+     "2140f9b1df94b5d80edfe2c998a180d7ac498b49135844a5e89389a588d80b92",
+     "2485930a6d7a9a6e9dc39d32ca11bbb882d0f0c347e6c08e66f1b5af2baba424"),
+    ("generic --m 2 --sl2-defects",
+     "c29ea46d740ec29e1bcc0714f1a30ab0854a2043f1de3972d5f5efd4743c8552",
+     "c9e3592a0fadf184a6d32792dfaa814f18a20c1ad04234e0f7a54f85b6cf2d4d"),
+    ("generic --m 2 --sl2-r-products",
+     "08ad7843e1a5c0c5d85101b2b657226b156b3146ced14100db27d40714cd9f3f",
+     "ce9a3abd1d73a9a66bfafcb0039471cfce985cfed61a940976984cc98d634176"),
+    ("generic --m 2 --sl2-r-products --sl2-defects",
+     "bd12ee7a8cba04f25a8bde38a4a78b498f083720bfc4d59778dbae32eb990c7b",
+     "20dbca3c913f827fb5e4d627751a4855d08d24c985a053c6acc07c3315ba1403"),
+    ("generic --m 4",
+     "5400684c6889dbe2ff93c7325667cc9d7fe816c56c035d2cd93e7516a5b56881",
+     "c16e0e6198548faed1bd05f7fe8cb579b9dc127e3e7a6dd87a2fac8c16332d60"),
+    ("generic --m 4 --sl2-defects",
+     "0ff1c5878f1bcc16b08794cd9aef06661ab748640eadc38b161adb7d039d334c",
+     "5030b98a86d370e92fb61c7549eba6a4b72d46492ae3dc66bc79379fdef18f47"),
+    ("generic --m 4 --sl2-r-products",
+     "2b19c5d7582a0306c72fb0c85d3a44ba95a61481ae970b12a431a9cc24818f0f",
+     "0639e131a95556e0ecb5bad50a02df9efd9ad096cf60fa46f163f423a2082098"),
+    ("generic --m 4 --sl2-r-products --sl2-defects",
+     "090a75cb9bf32a209a756b56a6ba1dc37533ca36a9b2ca1a361111965ef885b1",
+     "f90bdd3f3da25b23b1f949bd3bfad1b931ade491fea1b1411914b7425d9c000b"),
+    ("generic --m 6",
+     "2c5a5d7c34b72b804bb38b837af7c868f177cc5954833217328715349f5235a2",
+     "53299ceb875f308b7f4bdba7e39a585e72d62cfeac34f13a4a7a320131a61893"),
+    ("generic --m 6 --sl2-defects",
+     "8b00e463d5aedfda6e03119ccd9e5097a7d85f507c2e7bd87f312b6d968ef4ea",
+     "a67368154ce4fa829f251169f85bbdcf90f672face5df2fae4e5f7d1ab22e057"),
+    ("generic --m 6 --sl2-r-products",
+     "6e0c0541e22bdf1adeb891d417725e93733579dbb943cbfeb5f6e3ea2789158a",
+     "21d70792a08a42934b618197ea72f19cfcd385721f699de53d9ddd69c01e25d2"),
+    ("generic --m 6 --sl2-r-products --sl2-defects",
+     "a492e74010534cdb4200fdd1ebb083f5b396c58eb87b2144a8c279c7a3a2950b",
+     "ad9f27e347ebd8d155c83857d5ca15cdac583e7f778565356414395f63b36de9"),
+    ("prefamily",
+     "1819a3ef2b69a1ecc24d093424963acc9866538a3ab11bf140a7001a38e952b6",
+     "ca82816900fdacc3a66895db68915cdbc9da3f55172ce428daf983bcb7ab6521"),
+]
+
+
+@pytest.mark.parametrize(("args", "plain", "porcelain"), CONSTRAINT_DIGESTS, ids=[c[0] for c in CONSTRAINT_DIGESTS])
+def test_constraints_output_is_pinned(capsys, tmp_path, args, plain, porcelain):
+    path = construct(capsys, tmp_path, *args.split())
+    for flags, digest in (((), plain), (("--porcelain",), porcelain)):
+        code, out, _ = run(capsys, "constraints", path, *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_constraints_empty_for_constant_pass(capsys, tmp_path):

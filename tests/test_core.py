@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leibnizalg as L
+from leibnizalg import core
 from leibnizalg.basis import BasisChange, det_and_adjugate, mat_from_rows, mat_identity, mat_mul
 from leibnizalg.scalars import Poly
 
 from conftest import (
     constant_fixture_tables,
     mat_sub,
+    parametric_tables,
+    random_table,
     rational_polys,
     ref_residual,
     small_rationals,
@@ -371,6 +374,42 @@ def test_sparse_triple_walk_matches_all_triples():
 def test_sparse_triple_walk_matches_all_triples_on_random_tables(t):
     assert t.check_leibniz() == ref_check_leibniz(t)
     assert t.check_lie() == ref_check_lie(t)
+
+
+def assert_walk_covers_nonzero_residuals(t):
+    """sparse_triples visits each triple once, in lexicographic order, and
+    every triple whose residual is nonzero; on a constant table it walks
+    constants() as the identity checks do, on any table scaled_rows()."""
+    walks = [t.scaled_rows()[1]] + ([] if t.is_parametric() else [t.constants()])
+    for rows in walks:
+        visited = list(core.sparse_triples(rows))
+        assert visited == sorted(set(visited))
+        seen = set(visited)
+        for triple in itertools.product(range(t.dim), repeat=3):
+            if not ref_residual(t, *triple).is_zero():
+                assert triple in seen, triple
+
+
+def test_sparse_triple_walk_covers_nonzero_residuals():
+    for seed in range(100):
+        assert_walk_covers_nonzero_residuals(random_table(random.Random(seed)))
+    rng = random.Random(5)
+    for _ in range(40):
+        assert_walk_covers_nonzero_residuals(perturbed_fixture(rng))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(sparse_constant_tables(), parametric_tables()))
+def test_sparse_triple_walk_covers_nonzero_residuals_on_random_tables(t):
+    assert_walk_covers_nonzero_residuals(t)
+
+
+def test_sparse_triple_walk_sizes():
+    # when [b_i, b_j] != 0 only the columns of its support are added, not every k
+    me30 = L.make_module_extension(30, Fraction(3, 2))
+    assert sum(1 for _ in core.sparse_triples(me30.constants())) == 5191
+    gen6 = L.make_generic_family(L.FamilySpec(6, include_sl2_R_products=True, include_sl2_defects=True))
+    assert sum(1 for _ in core.sparse_triples(gen6.scaled_rows()[1])) == 708
 
 
 def test_check_leibniz_parametric_raises(prefamily):

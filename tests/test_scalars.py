@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from leibnizalg import MissingParameterError, ONE, Poly, ZERO, as_poly, normalize_primitive
-from leibnizalg.scalars import MONO_KEY, mono_cmp, mono_mul, poly_sort_key
+from leibnizalg.scalars import MONO_KEY, format_term, mono_cmp, mono_mul, mono_packing, mono_str, poly_sort_key
 
 A = Poly.param("a")
 B = Poly.param("b")
@@ -159,3 +159,67 @@ def test_mono_key_orders_as_mono_cmp(a, b):
 @given(st.lists(monomials, max_size=12))
 def test_mono_key_sorts_as_cmp_to_key(monos):
     assert sorted(monos, key=MONO_KEY) == sorted(monos, key=cmp_to_key(mono_cmp))
+
+
+# packed monomials: more than 64 names sharing prefixes, so that a packed
+# monomial outgrows a machine word; top is the largest exponent packed
+PACK_NAMES = sorted({head + tail for head in ("a", "a_", "ab", "b", "Z") for tail in (
+    "", "0", "1", "_1", "a", "b", "_", "a0", "b1", "Za", "00", "ab", "1a", "_b", "a_1",
+)})
+packable = st.sampled_from((1, 2, 3, 4, 7, 8)).flatmap(lambda top: st.tuples(st.just(top), st.lists(
+    st.dictionaries(st.sampled_from(PACK_NAMES), st.integers(min_value=1, max_value=top), max_size=5).map(
+        lambda exps: tuple(sorted(exps.items()))
+    ),
+    min_size=1, max_size=8,
+)))
+
+
+@given(packable)
+def test_packing_keeps_order_products_and_monomials(case):
+    top, monos = case
+    assert len(PACK_NAMES) > 64
+    pack, unpack = mono_packing(reversed(PACK_NAMES), top)
+    assert pack(((PACK_NAMES[-1], 1),)).bit_length() > 64
+    assert sorted(monos, key=pack) == sorted(monos, key=MONO_KEY)
+    for a in monos:
+        assert unpack(pack(a)) == a
+        for b in monos:
+            assert (pack(a) < pack(b)) == (MONO_KEY(a) < MONO_KEY(b))
+            assert pack(a) + pack(b) == pack(mono_mul(a, b))
+            assert unpack(pack(a) + pack(b)) == mono_mul(a, b)
+
+
+def test_packing_without_parameters():
+    pack, unpack = mono_packing((), 0)
+    assert pack(()) == 0 and unpack(0) == ()
+
+
+# format_term as it stood before it read numerator and denominator, through
+# Fraction comparison, abs and str
+
+
+def ref_format_term(coeff, mono, symbol=None):
+    sign = -1 if coeff < 0 else 1
+    c = abs(coeff)
+    factors = []
+    if c != 1 or (not mono and symbol is None):
+        factors.append(str(c))
+    if mono:
+        factors.append(mono_str(mono))
+    if symbol is not None:
+        factors.append(symbol)
+    return sign, "*".join(factors)
+
+
+term_coefficients = st.one_of(
+    st.sampled_from((Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(-2))),
+    st.integers(min_value=-(10 ** 30), max_value=10 ** 30).filter(bool).map(Fraction),
+    st.builds(Fraction, st.integers(min_value=-(10 ** 30), max_value=10 ** 30).filter(bool),
+              st.integers(min_value=1, max_value=10 ** 30)),
+    st.fractions().filter(bool),
+)
+
+
+@given(term_coefficients, st.one_of(st.just(()), monomials), st.one_of(st.none(), st.sampled_from(("x0", "e", "y2"))))
+def test_format_term_matches_reference(coeff, mono, symbol):
+    assert format_term(coeff, mono, symbol) == ref_format_term(coeff, mono, symbol)
