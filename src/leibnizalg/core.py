@@ -8,19 +8,21 @@ the bilinear extension of the table. The residual
 
 vanishes for all basis triples exactly when the table satisfies the
 (right) Leibniz identity; a Lie table additionally has [x, y] = -[y, x].
-On the Poly path (residual, and extract_constraints in analysis) it is
-computed in integers: AlgebraTable.scaled_rows multiplies every entry by
-the lcm D of the table's denominators and packs each monomial into one int
+There is one residual kernel, for constant and parametric tables alike:
+AlgebraTable.scaled_rows multiplies every entry by the lcm D of the
+table's denominators and packs each monomial into one int
 (scalars.mono_packing), and scaled_residual returns D^2 times the residual,
 multiplying monomials by adding ints, with no Fraction or Poly arithmetic.
+The identity checks, residual, and extract_constraints in analysis all run
+on it, and the checks visit only the triples whose residual can be nonzero
+(sparse_triples).
 
-Constant tables have one more representation, their sparse structure
-constants (AlgebraTable.constants), built once per table. The identity
-checks read it and visit only the triples whose residual can be nonzero
-(sparse_triples). Subspaces, ideals, quotients and invariant profiles are
-in spaces, which the AlgebraTable methods of those names import when first
-called; basis changes and their matrices are in basis. So `check` and
-`constraints` compile neither.
+Constant tables have one more representation, their sparse Fraction
+structure constants (AlgebraTable.constants), built once per table for
+sparse_bracket and the subspace work. Subspaces, ideals, quotients and
+invariant profiles are in spaces, which the AlgebraTable methods of those
+names import when first called; basis changes and their matrices are in
+basis. So `check` and `constraints` compile neither.
 """
 
 from __future__ import annotations
@@ -186,12 +188,23 @@ def scaled_residual(rows: ScaledRows, i: int, j: int, k: int) -> dict[int, dict[
     their sum.
     """
     row_i = rows[i]
-    pairs = [(c, row_i[l]) for l, c in rows[j][k]]
-    pairs += [({mono: -x for mono, x in c.items()}, rows[l][k]) for l, c in row_i[j]]
-    pairs += [(c, rows[l][j]) for l, c in row_i[k]]
     acc: dict[int, dict[int, int]] = {}
-    for c, entry in pairs:
-        for m, e in entry:
+    for l, c in rows[j][k]:  # + [b_i, [b_j, b_k]]
+        for m, e in row_i[l]:
+            out = acc.setdefault(m, {})
+            for m1, x in c.items():
+                for m2, y in e.items():
+                    mono = m1 + m2
+                    out[mono] = out.get(mono, 0) + x * y
+    for l, c in row_i[j]:  # - [[b_i, b_j], b_k]
+        for m, e in rows[l][k]:
+            out = acc.setdefault(m, {})
+            for m1, x in c.items():
+                for m2, y in e.items():
+                    mono = m1 + m2
+                    out[mono] = out.get(mono, 0) - x * y
+    for l, c in row_i[k]:  # + [[b_i, b_k], b_j]
+        for m, e in rows[l][j]:
             out = acc.setdefault(m, {})
             for m1, x in c.items():
                 for m2, y in e.items():
@@ -421,18 +434,20 @@ class AlgebraTable(Record):
         coefficient c at b_k. Raises ParametricError for a parametric table.
         """
         if self._constants is None:
-            try:
-                built = [
-                    [[(k, c.constant_value()) for k, c in entry.nonzero.items()] for entry in row]
-                    for row in self.table
-                ]
-            except MissingParameterError:
-                raise ParametricError(
-                    "table has parametric entries; use constraint extraction "
-                    "(extract_constraints / the constraints command) instead"
-                ) from None
+            self._require_constant()
+            built = [
+                [[(k, c.constant_value()) for k, c in entry.nonzero.items()] for entry in row]
+                for row in self.table
+            ]
             _set(self, "_constants", built)
         return self._constants
+
+    def _require_constant(self) -> None:
+        if self.is_parametric():
+            raise ParametricError(
+                "table has parametric entries; use constraint extraction "
+                "(extract_constraints / the constraints command) instead"
+            )
 
     def sparse_bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
         """[u, v] for sparse constant vectors, through constants()."""
@@ -448,71 +463,37 @@ class AlgebraTable(Record):
                         acc[k] = acc.get(k, _F0) + s * c
         return {k: x for k, x in acc.items() if x}
 
-    def check_leibniz(self) -> Verdict:
-        """PASS iff every residual over basis triples vanishes. Constants only."""
-        rows = self.constants()
+    def _residual_verdict(self, detail: str, negate: bool = False) -> Verdict:
+        """PASS, or FAIL at the first basis triple with a nonzero residual,
+        walked on the scaled rows; negate reports the residual's negative."""
+        rows = self.scaled_rows()[1]
         for i, j, k in sparse_triples(rows):
-            row_i = rows[i]
-            acc: dict[int, Fraction] = {}
-            for l, c in rows[j][k]:
-                for m, d in row_i[l]:
-                    acc[m] = acc.get(m, _F0) + c * d
-            for l, c in row_i[j]:
-                for m, d in rows[l][k]:
-                    acc[m] = acc.get(m, _F0) - c * d
-            for l, c in row_i[k]:
-                for m, d in rows[l][j]:
-                    acc[m] = acc.get(m, _F0) + c * d
-            if any(acc.values()):
-                return Verdict(
-                    FAIL,
-                    witness=(self.basis[i], self.basis[j], self.basis[k]),
-                    residual=self.residual(i, j, k),
-                    detail="Leibniz identity fails",
-                )
+            if scaled_residual(rows, i, j, k):
+                r = self.residual(i, j, k)
+                witness = (self.basis[i], self.basis[j], self.basis[k])
+                return Verdict(FAIL, witness, -r if negate else r, detail)
         return Verdict(PASS)
 
+    def check_leibniz(self) -> Verdict:
+        """PASS iff every residual over basis triples vanishes. Constants only."""
+        self._require_constant()
+        return self._residual_verdict("Leibniz identity fails")
+
     def check_lie(self) -> Verdict:
-        """PASS iff the table is antisymmetric and satisfies Jacobi."""
-        rows = self.constants()
-        dim = self.dim
-        for i in range(dim):
-            for j in range(i, dim):
-                acc: dict[int, Fraction] = {}
-                for k, c in rows[i][j]:
-                    acc[k] = acc.get(k, _F0) + c
-                for k, c in rows[j][i]:
-                    acc[k] = acc.get(k, _F0) + c
-                if any(acc.values()):
-                    el = self.table[i][j] + self.table[j][i]
+        """PASS iff the table is antisymmetric and satisfies Jacobi. Constants only."""
+        self._require_constant()
+        table = self.table
+        for i in range(self.dim):
+            for j in range(i, self.dim):
+                if table[i][j] != -table[j][i]:
                     return Verdict(
                         FAIL,
                         witness=(self.basis[i], self.basis[j]),
-                        residual=el,
+                        residual=table[i][j] + table[j][i],
                         detail="antisymmetry fails",
                     )
-        # Jacobi: [[x,y],z] + [[y,z],x] + [[z,x],y] = 0; the table is now
-        # antisymmetric, so [b_k, b_i] != 0 exactly when [b_i, b_k] != 0
-        for i, j, k in sparse_triples(rows):
-            acc = {}
-            for l, c in rows[i][j]:
-                for m, d in rows[l][k]:
-                    acc[m] = acc.get(m, _F0) + c * d
-            for l, c in rows[j][k]:
-                for m, d in rows[l][i]:
-                    acc[m] = acc.get(m, _F0) + c * d
-            for l, c in rows[k][i]:
-                for m, d in rows[l][j]:
-                    acc[m] = acc.get(m, _F0) + c * d
-            if any(acc.values()):
-                # on an antisymmetric table the Jacobi sum is -r(b_i, b_j, b_k)
-                return Verdict(
-                    FAIL,
-                    witness=(self.basis[i], self.basis[j], self.basis[k]),
-                    residual=-self.residual(i, j, k),
-                    detail="Jacobi identity fails",
-                )
-        return Verdict(PASS)
+        # on an antisymmetric table the Jacobi sum [[x,y],z] + [[y,z],x] + [[z,x],y] is -r(x, y, z)
+        return self._residual_verdict("Jacobi identity fails", negate=True)
 
     # -- subspaces: the bodies live in spaces, imported on first call ---------
 

@@ -57,9 +57,10 @@ def test_check_fail_exit_1_with_witness(capsys, tmp_path):
     assert "witness\te,x1" in out
 
 
-def test_check_parametric_is_a_usage_error(capsys, tmp_path):
+@pytest.mark.parametrize("mode", ["leibniz", "lie"])
+def test_check_parametric_is_a_usage_error(capsys, tmp_path, mode):
     path = construct(capsys, tmp_path, "prefamily")
-    code, out, err = run(capsys, "check", path)
+    code, out, err = run(capsys, "check", path, "--mode", mode)
     assert code == 2
     assert "constraints" in err
 
@@ -130,7 +131,8 @@ def test_construct_inadmissible_point(capsys):
 
 def test_construct_rational_arguments(capsys, tmp_path):
     path = construct(capsys, tmp_path, "module-ext", "--m", "0", "--a", "7/3")
-    t = L.parse_algebra(open(path).read())
+    with open(path, encoding="utf-8") as f:
+        t = L.parse_algebra(f.read())
     assert t == L.make_module_extension(0, L.Poly.const(7).constant_value() / 3)
 
 

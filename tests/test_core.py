@@ -12,6 +12,7 @@ from leibnizalg.scalars import Poly
 
 from conftest import (
     constant_fixture_tables,
+    invertible_changes,
     mat_sub,
     parametric_tables,
     random_table,
@@ -370,10 +371,15 @@ def test_sparse_triple_walk_matches_all_triples():
 
 
 @settings(deadline=None, max_examples=80)
-@given(sparse_constant_tables())
-def test_sparse_triple_walk_matches_all_triples_on_random_tables(t):
-    assert t.check_leibniz() == ref_check_leibniz(t)
-    assert t.check_lie() == ref_check_lie(t)
+@given(st.data())
+def test_sparse_triple_walk_matches_all_triples_on_random_tables(data):
+    # a random change of basis gives dense rational entries, so PASS tables
+    # with denominators D > 1 and exact cancellation reach the integer kernel
+    t = data.draw(sparse_constant_tables())
+    changed = L.apply_basis_change(t, data.draw(invertible_changes(t.dim)))
+    for table in (t, changed):
+        assert table.check_leibniz() == ref_check_leibniz(table)
+        assert table.check_lie() == ref_check_lie(table)
 
 
 def assert_walk_covers_nonzero_residuals(t):
@@ -412,9 +418,18 @@ def test_sparse_triple_walk_sizes():
     assert sum(1 for _ in core.sparse_triples(gen6.scaled_rows()[1])) == 708
 
 
-def test_check_leibniz_parametric_raises(prefamily):
+@pytest.mark.parametrize("check", ["check_leibniz", "check_lie"])
+def test_check_leibniz_parametric_raises(prefamily, check):
+    # the prefamily is not antisymmetric: check_lie must refuse it before any scan
     with pytest.raises(L.ParametricError, match="constraints"):
-        prefamily.check_leibniz()
+        getattr(prefamily, check)()
+
+
+def test_identity_checks_build_no_fraction_constants():
+    t = L.make_module_extension(3, 2)
+    t.check_leibniz()
+    t.check_lie()
+    assert t._constants is None
 
 
 def test_span_and_subspace(sl2):
