@@ -13,7 +13,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 
 from .core import AlgebraTable, Record, scaled_residual, sparse_triples
-from .scalars import Poly, poly_sort_key, primitive_terms
+from .scalars import Poly, _join_terms, format_term, poly_sort_key, primitive_terms
 
 
 class ConstraintSet(Record):
@@ -21,18 +21,21 @@ class ConstraintSet(Record):
 
     Canonical order is poly_sort_key order: term count, then the terms in
     canonical ascending order. Iteration follows it, and two sets are equal
-    exactly when their tuples are.
+    exactly when their tuples are. Each member also holds its terms in
+    canonical order, so lines() prints it without sorting.
     """
 
     __slots__ = ("polys",)
 
     def __init__(self, polys: tuple[Poly, ...]):
-        # polys is trusted to be distinct and in canonical order; of() makes it so
+        # polys is trusted to be distinct and in canonical order, each with
+        # its terms in canonical order; of() makes it so
         self._fill(polys)
 
     @classmethod
     def of(cls, items: Iterable[Poly]) -> "ConstraintSet":
-        return cls(tuple(sorted(set(items), key=poly_sort_key)))
+        canonical = {Poly(dict(p.sorted_terms())) for p in items}
+        return cls(tuple(sorted(canonical, key=poly_sort_key)))
 
     def __len__(self) -> int:
         return len(self.polys)
@@ -42,6 +45,11 @@ class ConstraintSet(Record):
 
     def __iter__(self) -> Iterator[Poly]:
         return iter(self.polys)
+
+    def lines(self) -> Iterator[str]:
+        """str(p) of each member, read off its stored term order."""
+        for p in self.polys:
+            yield _join_terms(format_term(c, m) for m, c in p.terms.items())
 
     def violated_at(self, assignment: Mapping[str, Fraction | int]) -> Poly | None:
         """First member (in canonical order) that does not vanish, if any."""

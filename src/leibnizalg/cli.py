@@ -7,15 +7,18 @@ parametric-input and admissibility errors. Reports are plain text; pass
 
 Every command parses or writes .alg text, so algfile and core load with this
 module; every other module loads only in the commands that run it (README,
-"Library layout"), which keeps each command's start-up small.
+"Library layout"), which keeps each command's start-up small. argparse is
+among them: only `construct` and argv that the command table does not fit
+load it.
 """
 
 from __future__ import annotations
 
-import argparse
+import gc
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .algfile import parse_algebra, parse_change, serialize_algebra
 from .core import AlgebraTable, format_element
@@ -46,6 +49,8 @@ def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        import argparse
+
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
@@ -136,6 +141,8 @@ def _cmd_construct(args) -> int:
         known = "\n  ".join(f"{k}: {text}" for k, (text, _, _) in sorted(_CONSTRUCTORS.items()))
         print(f"error: unknown constructor {name!r}; known constructors:\n  {known}", file=sys.stderr)
         return 2
+    import argparse
+
     from . import constructions
 
     _, spec, build = _CONSTRUCTORS[name]
@@ -177,11 +184,11 @@ def _cmd_constraints(args) -> int:
     constraints = extract_constraints(_read_table(args.file))
     if args.porcelain:
         print(f"count\t{len(constraints)}")
-        for p in constraints:
-            print(f"constraint\t{p}")
+        for line in constraints.lines():
+            print(f"constraint\t{line}")
     else:
-        for p in constraints:
-            print(p)
+        for line in constraints.lines():
+            print(line)
     return 0
 
 
@@ -259,61 +266,87 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_NARGS = {"files": "+", "args": "..."}  # "..." is argparse.REMAINDER
+_CHOICES = {"--mode": ("leibniz", "lie")}  # an option with choices; the first is the default
+_ARG_HELP = {"change": "change document path, or `identity`"}
+# command -> (handler, help, positionals, options); an option not in _CHOICES is a flag
+_COMMANDS = {
+    "check": (_cmd_check, "verify the Leibniz or Lie identities", ("file",), ("--mode", "--porcelain")),
+    "construct": (_cmd_construct, "emit a named table as .alg text", ("name", "args"), ()),
+    "ideal": (_cmd_ideal, "print the squares ideal (echelon rows)", ("file",), ("--porcelain",)),
+    "quotient": (_cmd_quotient, "print the quotient by the squares ideal", ("file",), ()),
+    "constraints": (_cmd_constraints, "print the Leibniz constraint polynomials", ("file",), ("--porcelain",)),
+    "change-basis": (_cmd_change_basis, "rewrite a table on a new basis", ("file", "change"), ()),
+    "verify-iso": (_cmd_verify_iso, "check that a change maps one table onto another",
+                   ("file1", "file2", "change"), ("--porcelain",)),
+    "profile": (_cmd_profile, "print invariant profiles and compare them", ("files",), ("--porcelain",)),
+}
+
+
+def build_parser():
+    """The argparse parser for the command table, for argv that
+    _args_from_table leaves to it: its usage errors and help."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="leibnizalg",
         description="Exact structure-constant computations for Leibniz algebras.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("check", help="verify the Leibniz or Lie identities")
-    p.add_argument("file")
-    p.add_argument("--mode", choices=("leibniz", "lie"), default="leibniz")
-    p.add_argument("--porcelain", action="store_true")
-    p.set_defaults(func=_cmd_check)
-
-    p = commands.add_parser("construct", help="emit a named table as .alg text")
-    p.add_argument("name")
-    p.add_argument("args", nargs=argparse.REMAINDER)
-    p.set_defaults(func=_cmd_construct)
-
-    p = commands.add_parser("ideal", help="print the squares ideal (echelon rows)")
-    p.add_argument("file")
-    p.add_argument("--porcelain", action="store_true")
-    p.set_defaults(func=_cmd_ideal)
-
-    p = commands.add_parser("quotient", help="print the quotient by the squares ideal")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_quotient)
-
-    p = commands.add_parser("constraints", help="print the Leibniz constraint polynomials")
-    p.add_argument("file")
-    p.add_argument("--porcelain", action="store_true")
-    p.set_defaults(func=_cmd_constraints)
-
-    p = commands.add_parser("change-basis", help="rewrite a table on a new basis")
-    p.add_argument("file")
-    p.add_argument("change", help="change document path, or `identity`")
-    p.set_defaults(func=_cmd_change_basis)
-
-    p = commands.add_parser("verify-iso", help="check that a change maps one table onto another")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.add_argument("change", help="change document path, or `identity`")
-    p.add_argument("--porcelain", action="store_true")
-    p.set_defaults(func=_cmd_verify_iso)
-
-    p = commands.add_parser("profile", help="print invariant profiles and compare them")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--porcelain", action="store_true")
-    p.set_defaults(func=_cmd_profile)
-
+    for command, (func, text, positionals, options) in _COMMANDS.items():
+        p = commands.add_parser(command, help=text)
+        for name in positionals:
+            p.add_argument(name, nargs=_NARGS.get(name), help=_ARG_HELP.get(name))
+        for option in options:
+            if option in _CHOICES:
+                p.add_argument(option, choices=_CHOICES[option], default=_CHOICES[option][0])
+            else:
+                p.add_argument(option, action="store_true")
+        p.set_defaults(func=func)
     return parser
 
 
+def _args_from_table(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments build_parser() would parse from argv, when argv fits
+    the table exactly: options spelled out in full (a choice as the next
+    word) and one run of positionals. Otherwise None (`--opt=value`, an
+    abbreviation, `--`, `-h`, an error), and argparse parses argv."""
+    if not argv or argv[0] not in _COMMANDS or "--" in argv:
+        return None
+    func, _, names, options = _COMMANDS[argv[0]]
+    args = {"command": argv[0], "func": func}
+    for option in options:
+        args[option[2:]] = _CHOICES[option][0] if option in _CHOICES else False
+    nfixed, nargs = len(names) - 1, _NARGS.get(names[-1])
+    words: list = []
+    ended = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if nargs == "..." and len(words) == nfixed:
+            words.append([token, *tokens])
+        elif token in options:
+            ended = bool(words)
+            value = next(tokens, None) if token in _CHOICES else True
+            if token in _CHOICES and value not in _CHOICES[token]:
+                return None
+            args[token[2:]] = value
+        elif token.startswith("-") or ended:
+            return None
+        else:
+            words.append(token)
+    if nargs == "..." and len(words) == nfixed:
+        words.append([])
+    elif nargs == "+" and len(words) > nfixed:
+        words[nfixed:] = [words[nfixed:]]
+    if len(words) != len(names):
+        return None
+    args.update(zip(names, words))
+    return SimpleNamespace(**args)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _args_from_table(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except AlgebraError as exc:
@@ -322,4 +355,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    raise SystemExit(main())
+    """Console entry point. The process ends after main(), so the collector
+    stays off, and gc.freeze() spares the exit its collections over the
+    heap; stdout is still flushed and atexit still runs."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)

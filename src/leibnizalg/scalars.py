@@ -50,26 +50,15 @@ def mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
 
 
-def mono_cmp(a: Mono, b: Mono) -> int:
-    """Graded lexicographic comparison, ascending parameter names."""
-    da, db = mono_degree(a), mono_degree(b)
-    if da != db:
-        return -1 if da < db else 1
-    ea, eb = dict(a), dict(b)
-    for name in sorted(set(ea) | set(eb)):
-        xa, xb = ea.get(name, 0), eb.get(name, 0)
-        if xa != xb:
-            return 1 if xa > xb else -1
-    return 0
-
-
 @functools.lru_cache(maxsize=1 << 12)
 def MONO_KEY(m: Mono) -> tuple:
-    """Sort key that orders monomials as mono_cmp does.
+    """Sort key for the canonical graded lexicographic monomial order.
 
-    Degree first, then the (name, exponent) pairs, in which an earlier name
-    must sort later: a name is keyed by its negated code points and a final
-    1, which reverses string order. Memoized in a bounded cache.
+    Total degree first; ties go to the exponents along the names in
+    ascending string order, a larger exponent on an earlier name sorting
+    later. So the key holds the (name, exponent) pairs with each name keyed
+    by its negated code points and a final 1, which reverses string order.
+    Memoized in a bounded cache.
     """
     return mono_degree(m), tuple((tuple([-ord(ch) for ch in name]) + (1,), e) for name, e in m)
 

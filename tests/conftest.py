@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import leibnizalg as L
 from leibnizalg.basis import mat_constant
+from leibnizalg.scalars import mono_degree
 
 # one line per acceptance criterion, echoed after the run (see
 # test_acceptance.report); kept here so the summary hook sees them
@@ -208,6 +209,24 @@ def ref_residual(t: L.AlgebraTable, i: int, j: int, k: int) -> L.Element:
     t2 = ref_bracket_basis_right(t, t.table[i][j], k)
     t3 = ref_bracket_basis_right(t, t.table[i][k], j)
     return t1 - t2 + t3
+
+
+# ---------------------------------------------------------------------------
+# reference monomial order: the comparison that MONO_KEY and packed
+# monomials must agree with
+
+
+def mono_cmp(a, b) -> int:
+    """Graded lexicographic comparison, ascending parameter names."""
+    da, db = mono_degree(a), mono_degree(b)
+    if da != db:
+        return -1 if da < db else 1
+    ea, eb = dict(a), dict(b)
+    for name in sorted(set(ea) | set(eb)):
+        xa, xb = ea.get(name, 0), eb.get(name, 0)
+        if xa != xb:
+            return 1 if xa > xb else -1
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,19 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import leibnizalg as L
+from leibnizalg import scalars
 from leibnizalg.basis import BasisChange, det_and_adjugate, mat_identity, mat_mul
-from leibnizalg.scalars import Poly, _join_terms, format_term, mono_cmp, normalize_primitive, poly_sort_key
+from leibnizalg.scalars import Poly, _join_terms, format_term, normalize_primitive, poly_sort_key
 
 from conftest import (
     invertible_changes,
+    mono_cmp,
     parametric_tables,
     rational_polys,
     ref_residual,
@@ -347,6 +350,20 @@ def constraint_sets(draw):
 @given(constraint_sets())
 def test_constraint_set_prints_in_reference_order(constraints):
     assert [str(p) for p in constraints] == ref_printed(constraints)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_constraint_lines_are_str_without_sorting(data):
+    extracted = L.extract_constraints(data.draw(parametric_tables()))
+    # equal members rebuilt with their terms in a random order
+    shuffled = L.ConstraintSet.of(Poly(dict(data.draw(st.permutations(list(p.terms.items()))))) for p in extracted)
+    for constraints in (extracted, shuffled, data.draw(constraint_sets())):
+        want = [str(p) for p in constraints]
+        with mock.patch.object(scalars, "MONO_KEY", wraps=scalars.MONO_KEY) as key:
+            got = list(constraints.lines())
+        assert key.call_count == 0 and got == want
+        assert all(list(p.terms.items()) == p.sorted_terms() for p in constraints)
 
 
 def test_generic_constraints_print_in_reference_order():

@@ -1,13 +1,18 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import leibnizalg as L
-from leibnizalg import cli
+from leibnizalg import cli, scalars
 
 CHANGE_231_TO_101 = """\
 change collapse
@@ -210,6 +215,16 @@ def test_constraints_output_is_pinned(capsys, tmp_path, args, plain, porcelain):
         code, out, _ = run(capsys, "constraints", path, *flags)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_constraints_command_sorts_no_terms(capsys, tmp_path):
+    path = construct(capsys, tmp_path, "generic", "--m", "2", "--sl2-r-products", "--sl2-defects")
+    with mock.patch.object(scalars, "MONO_KEY", wraps=scalars.MONO_KEY) as key:
+        code, out, _ = run(capsys, "constraints", path)
+    assert code == 0 and key.call_count == 0
+    with open(path, encoding="utf-8") as f:
+        want = [str(p) for p in L.extract_constraints(L.parse_algebra(f.read()))]
+    assert len(want) > 100 and out.splitlines() == want
 
 
 def test_constraints_empty_for_constant_pass(capsys, tmp_path):
@@ -427,12 +442,158 @@ EVERY_COMMAND = [
 ]
 
 
-@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+# ---------------------------------------------------------------------------
+# the argparse parser as it was written by hand before the command table:
+# main() must answer every argv exactly as this parser and the handlers do
+
+
+def ref_build_parser():
+    parser = argparse.ArgumentParser(
+        prog="leibnizalg",
+        description="Exact structure-constant computations for Leibniz algebras.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    p = commands.add_parser("check", help="verify the Leibniz or Lie identities")
+    p.add_argument("file")
+    p.add_argument("--mode", choices=("leibniz", "lie"), default="leibniz")
+    p.add_argument("--porcelain", action="store_true")
+    p.set_defaults(func=cli._cmd_check)
+
+    p = commands.add_parser("construct", help="emit a named table as .alg text")
+    p.add_argument("name")
+    p.add_argument("args", nargs=argparse.REMAINDER)
+    p.set_defaults(func=cli._cmd_construct)
+
+    p = commands.add_parser("ideal", help="print the squares ideal (echelon rows)")
+    p.add_argument("file")
+    p.add_argument("--porcelain", action="store_true")
+    p.set_defaults(func=cli._cmd_ideal)
+
+    p = commands.add_parser("quotient", help="print the quotient by the squares ideal")
+    p.add_argument("file")
+    p.set_defaults(func=cli._cmd_quotient)
+
+    p = commands.add_parser("constraints", help="print the Leibniz constraint polynomials")
+    p.add_argument("file")
+    p.add_argument("--porcelain", action="store_true")
+    p.set_defaults(func=cli._cmd_constraints)
+
+    p = commands.add_parser("change-basis", help="rewrite a table on a new basis")
+    p.add_argument("file")
+    p.add_argument("change", help="change document path, or `identity`")
+    p.set_defaults(func=cli._cmd_change_basis)
+
+    p = commands.add_parser("verify-iso", help="check that a change maps one table onto another")
+    p.add_argument("file1")
+    p.add_argument("file2")
+    p.add_argument("change", help="change document path, or `identity`")
+    p.add_argument("--porcelain", action="store_true")
+    p.set_defaults(func=cli._cmd_verify_iso)
+
+    p = commands.add_parser("profile", help="print invariant profiles and compare them")
+    p.add_argument("files", nargs="+")
+    p.add_argument("--porcelain", action="store_true")
+    p.set_defaults(func=cli._cmd_profile)
+
+    return parser
+
+
+def ref_main(argv):
+    args = ref_build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except L.AlgebraError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def run_exiting(capsys, main, argv):
+    """(exit code, stdout, stderr) of main(argv), with argparse's SystemExit as its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+CONSTRUCT_CORPUS = [("construct", *args.split()) for args in (
+    "sl2", "r2", "prefamily", "prefamily --x", "so8", "sl2 extra", "sl2 --dim 3",
+    "abelian --dim 3", "abelian --dim 0", "abelian --dim x", "abelian",
+    "dzhumadildaev --m 2", "module-ext --m 1 --a 7/3", "module-ext --m 1 --a=x", "module-ext --m 0",
+    "generic --m 1 --sl2-defects --sl2-r-products", "Lfamily --l=1 --mu=0 --a=1", "Lfamily --l 1 --mu 0 --a 0",
+    "Lfamily --l 1/0 --mu 0 --a 1", "Lfamily --l 1", "direct-sum prefamily r2", "direct-sum sl2 so8",
+    "direct-sum sl2", "abelian -h",
+)]
+# argv that main() leaves to argparse: abbreviations, --opt=value, `--`, -h,
+# stray dashes, split positionals, and usage errors
+FALLBACK_CORPUS = [
+    ("check", "b.alg", "--porc"),
+    ("check", "b.alg", "--mode=lie"),
+    ("check", "--", "b.alg"),
+    ("construct", "sl2", "--"),
+    ("-h",),
+    ("check", "-h"),
+    ("construct", "-h"),
+    ("check", "-x.alg"),
+    ("check", "b.alg", "--mode"),
+    ("check", "b.alg", "--mode", "jordan"),
+    ("--porcelain", "check", "b.alg"),
+    ("profile", "sl2.alg", "--porcelain", "b.alg"),
+    ("verify-iso", "a.alg", "b.alg", "--porcelain", "c.chg"),
+    (),
+    ("nosuch", "b.alg"),
+    ("check",),
+    ("profile", "--porcelain"),
+    ("check", "a.alg", "b.alg"),
+    ("quotient", "b.alg", "--porcelain"),
+]
+# argv that main() parses from the command table itself; `construct` takes
+# every word after the name as is, and its own parser reads -h
+TABLE_CORPUS = [
+    ("construct", "sl2", "-h"),
+    ("check", "--mode", "lie", "b.alg"),
+    ("check", "b.alg", "--porcelain", "--mode", "lie", "--mode", "leibniz"),
+    ("profile", "--porcelain", "sl2.alg", "b.alg"),
+]
+ARGV_CORPUS = EVERY_COMMAND + CONSTRUCT_CORPUS + FALLBACK_CORPUS + TABLE_CORPUS
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=lambda argv: " ".join(argv) or "no arguments")
 def test_fresh_process_matches_in_process(capsys, small_inputs, monkeypatch, argv):
     monkeypatch.chdir(small_inputs)
-    want = run(capsys, *argv)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal width
+    want = run_exiting(capsys, ref_main, argv)
+    assert run_exiting(capsys, cli.main, argv) == want
     proc = fresh_python("-m", "leibnizalg", *argv, cwd=small_inputs)
     assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+WORDS = ("check", "construct", "ideal", "profile", "verify-iso", "sl2", "b.alg", "c.chg", "--porcelain", "--mode",
+         "lie", "leibniz", "--porc", "--mode=lie", "-h", "--", "-", "", "--m", "2")
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(cli._COMMANDS)), st.lists(st.sampled_from(WORDS), max_size=6))
+def test_table_parse_equals_argparse(command, words):
+    argv = [command, *words]
+    got = cli._args_from_table(argv)
+    if got is not None:
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert vars(got) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_parser_is_built_only_off_the_table(capsys, small_inputs, monkeypatch):
+    monkeypatch.chdir(small_inputs)
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or ref_build_parser())
+    for argv in EVERY_COMMAND + TABLE_CORPUS:
+        run_exiting(capsys, cli.main, argv)
+    assert built == []
+    for argv in FALLBACK_CORPUS:
+        run_exiting(capsys, cli.main, argv)
+    assert len(built) == len(FALLBACK_CORPUS)
 
 
 NEVER_AFTER_SIMPLE_COMMANDS = {"leibnizalg.analysis", "leibnizalg.constructions", "dataclasses"}
@@ -483,6 +644,23 @@ SKIPPED_LAYERS = [
     (("construct", "sl2"), ("leibnizalg.basis",)),
     (("construct", "dzhumadildaev", "--m", "2"), ("leibnizalg.basis",)),
 ]
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "b.alg"),
+    ("check", "b.alg", "--mode", "lie", "--porcelain"),
+    ("ideal", "b.alg"),
+    ("quotient", "b.alg"),
+    ("constraints", "prefamily.alg"),
+    ("profile", "b.alg"),
+    ("profile", "--porcelain", "sl2.alg", "a.alg", "b.alg"),
+    ("change-basis", "a.alg", "c.chg"),
+    ("verify-iso", "a.alg", "b.alg", "c.chg", "--porcelain"),
+], ids=" ".join)
+def test_table_commands_do_not_import_argparse(small_inputs, argv):
+    added, _ = imports_of(small_inputs, *argv)
+    assert "leibnizalg.cli" in added
+    assert "argparse" not in added
 
 
 @pytest.mark.parametrize(("argv", "skipped"), SKIPPED_LAYERS, ids=[" ".join(a) for a, _ in SKIPPED_LAYERS])

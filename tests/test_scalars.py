@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from leibnizalg import MissingParameterError, ONE, Poly, ZERO, as_poly, normalize_primitive
-from leibnizalg.scalars import MONO_KEY, format_term, mono_cmp, mono_mul, mono_packing, mono_str, poly_sort_key
+from leibnizalg.scalars import MONO_KEY, format_term, mono_mul, mono_packing, mono_str, poly_sort_key
+
+from conftest import mono_cmp
 
 A = Poly.param("a")
 B = Poly.param("b")
