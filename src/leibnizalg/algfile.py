@@ -43,6 +43,17 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
+def _int(digits: str, lineno: int) -> int:
+    """int(digits), with a positioned ParseError where int() raises: a
+    literal longer than the interpreter's integer-string digit limit
+    (4,300 digits by default), or digits int() does not read."""
+    try:
+        return int(digits)
+    except ValueError:
+        shown = repr(digits) if len(digits) <= 20 else f"{digits[:20]}... ({len(digits)} digits)"
+        raise ParseError(lineno, f"cannot read the integer {shown}") from None
+
+
 def _split_terms(expr: str, lineno: int) -> list[tuple[int, str]]:
     """Split a whitespace-free expression into (sign, body) chunks."""
     out: list[tuple[int, str]] = []
@@ -89,14 +100,15 @@ def _parse_term(
             if pos != 0:
                 raise ParseError(lineno, f"coefficient must lead the term in {body!r}")
             num, _, den = factor.partition("/")
-            if den and int(den) == 0:
+            den = _int(den, lineno) if den else 1
+            if den == 0:
                 raise ParseError(lineno, f"zero denominator in {body!r}")
-            coeff *= Fraction(int(num), int(den) if den else 1)
+            coeff *= Fraction(_int(num, lineno), den)
             continue
         m = _POWER_RE.match(factor)
         if not m or m.group(1) not in params:
             raise ParseError(lineno, f"unknown symbol {factor!r}")
-        exp = int(m.group(2)) if m.group(2) else 1
+        exp = _int(m.group(2), lineno) if m.group(2) else 1
         if exp == 0:
             continue
         mono = mono_mul(mono, ((m.group(1), exp),))
@@ -162,9 +174,11 @@ def _parse_header(
     name = fields[1]
 
     lineno, fields = next_line("dim")
-    if len(fields) != 2 or fields[0] != "dim" or not fields[1].isdigit() or int(fields[1]) < 1:
+    if len(fields) != 2 or fields[0] != "dim" or not fields[1].isdigit():
         raise ParseError(lineno, "expected `dim INT` with a positive integer")
-    dim = int(fields[1])
+    dim = _int(fields[1], lineno)
+    if dim < 1:
+        raise ParseError(lineno, "expected `dim INT` with a positive integer")
 
     lineno, fields = next_line("basis")
     params: tuple[str, ...] = ()
@@ -230,16 +244,6 @@ class ChangeDocument(Record):
     """A parsed change-of-basis file: new basis rows in old coordinates."""
 
     __slots__ = ("name", "dim", "params", "basis", "assignments")
-
-    def __init__(
-        self,
-        name: str,
-        dim: int,
-        params: tuple[str, ...],
-        basis: tuple[str, ...],
-        assignments: dict[str, Element],
-    ):
-        self._fill(name, dim, params, basis, assignments)
 
     def matrix(self) -> Matrix:
         """Rows of the change: assignment row if given, identity otherwise."""

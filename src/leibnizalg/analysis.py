@@ -22,15 +22,11 @@ class ConstraintSet(Record):
     Canonical order is poly_sort_key order: term count, then the terms in
     canonical ascending order. Iteration follows it, and two sets are equal
     exactly when their tuples are. Each member also holds its terms in
-    canonical order, so lines() prints it without sorting.
+    canonical order, so lines() prints it without sorting. The
+    constructor trusts polys to be all of that; of() makes it so.
     """
 
     __slots__ = ("polys",)
-
-    def __init__(self, polys: tuple[Poly, ...]):
-        # polys is trusted to be distinct and in canonical order, each with
-        # its terms in canonical order; of() makes it so
-        self._fill(polys)
 
     @classmethod
     def of(cls, items: Iterable[Poly]) -> "ConstraintSet":

@@ -110,9 +110,6 @@ class BasisChange(Record):
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: Matrix):
-        self._fill(rows)
-
     @classmethod
     def identity(cls, dim: int) -> "BasisChange":
         return cls(mat_identity(dim))

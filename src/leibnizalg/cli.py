@@ -219,17 +219,6 @@ def _cmd_verify_iso(args) -> int:
     return 1
 
 
-_PROFILE_FIELDS = (
-    "dim",
-    "derived_dim",
-    "derived_series",
-    "lower_central_series",
-    "left_center_dim",
-    "right_center_dim",
-    "squares_ideal_dim",
-)
-
-
 def _fmt_value(value) -> str:
     if isinstance(value, tuple):
         return " ".join(str(v) for v in value)
@@ -240,14 +229,14 @@ def _cmd_profile(args) -> int:
     tables = [(_path, _read_table(_path)) for _path in args.files]
     profiles = [(path, t, t.invariant_profile()) for path, t in tables]
     for path, t, profile in profiles:
-        d = profile.as_dict()
+        fields = profile.as_dict().items()
         if args.porcelain:
-            for field in _PROFILE_FIELDS:
-                print(f"profile\t{t.name}\t{field}\t{_fmt_value(d[field])}")
+            for field, value in fields:
+                print(f"profile\t{t.name}\t{field}\t{_fmt_value(value)}")
         else:
             print(f"table {t.name} ({path})")
-            for field in _PROFILE_FIELDS:
-                print(f"  {field:<22}{_fmt_value(d[field])}")
+            for field, value in fields:
+                print(f"  {field:<22}{_fmt_value(value)}")
     pairs = [(a, b) for i, a in enumerate(profiles) for b in profiles[i + 1 :]]
     if pairs:
         from .spaces import ProfileReport

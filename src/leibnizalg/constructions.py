@@ -58,11 +58,11 @@ def make_r2() -> AlgebraTable:
     )
 
 
-def make_abelian(dim: int, prefix: str = "z") -> AlgebraTable:
-    """An abelian algebra with all products zero."""
+def make_abelian(dim: int) -> AlgebraTable:
+    """An abelian algebra on (z0, z1, ...) with all products zero."""
     if dim < 1:
         raise AdmissibilityError("abelian dimension must be a positive integer")
-    return AlgebraTable.from_products(f"abelian{dim}", tuple(f"{prefix}{i}" for i in range(dim)), {})
+    return AlgebraTable.from_products(f"abelian{dim}", tuple(f"z{i}" for i in range(dim)), {})
 
 
 def module_basis(m: int) -> tuple[str, ...]:
@@ -205,22 +205,28 @@ def _family_basis(m: int) -> tuple[str, ...]:
     return SL2_BASIS + module_basis(m) + ("y1", "y2")
 
 
-def make_module_extension(m: int, a: Rat = 0) -> AlgebraTable:
-    """The canonical (m+6)-dim family: sl2 + r2 with the weight-m module as
-    zero-square block and y2 acting on it by the scalar a."""
-    if m < 0:
-        raise AdmissibilityError("module weight must be a nonnegative integer")
-    a = Fraction(a)
-    products: dict[tuple[str, str], dict[str, Rat]] = {}
-    products.update(_SL2_PRODUCTS)
+def _family_products(m: int, a: Poly | Rat) -> dict[tuple[str, str], dict[str, object]]:
+    """The products every (m+6)-dim family shares: sl2, its right action on
+    the weight-m module, r2, and y2 scaling the module by a (nothing when a
+    is zero)."""
+    products: dict[tuple[str, str], dict[str, object]] = dict(_SL2_PRODUCTS)
     products.update(_module_products(m))
     products[("y1", "y2")] = {"y1": 1}
     products[("y2", "y1")] = {"y1": -1}
     if a:
         for k in range(m + 1):
             products[(f"x{k}", "y2")] = {f"x{k}": a}
+    return products
+
+
+def make_module_extension(m: int, a: Rat = 0) -> AlgebraTable:
+    """The canonical (m+6)-dim family: sl2 + r2 with the weight-m module as
+    zero-square block and y2 acting on it by the scalar a."""
+    if m < 0:
+        raise AdmissibilityError("module weight must be a nonnegative integer")
+    a = Fraction(a)
     name = f"module_ext_m{m}_a{str(a).replace('/', 'd')}"
-    return AlgebraTable.from_products(name, _family_basis(m), products)
+    return AlgebraTable.from_products(name, _family_basis(m), _family_products(m, a))
 
 
 class FamilySpec(Record):
@@ -228,22 +234,14 @@ class FamilySpec(Record):
 
     include_sl2_R_products frees the products [e|f|h, y_i];
     include_sl2_defects adds module-valued defect terms to the six
-    canonical sl2 products. Free coefficients are named with param_format.
+    canonical sl2 products. Free coefficients are named a_<left>_<right>_<j>.
     """
 
-    __slots__ = ("m", "include_sl2_R_products", "include_sl2_defects", "param_format")
-
-    def __init__(
-        self,
-        m: int,
-        include_sl2_R_products: bool = False,
-        include_sl2_defects: bool = False,
-        param_format: str = "a_{left}_{right}_{j}",
-    ):
-        self._fill(m, include_sl2_R_products, include_sl2_defects, param_format)
+    __slots__ = ("m", "include_sl2_R_products", "include_sl2_defects")
+    _defaults = {"include_sl2_R_products": False, "include_sl2_defects": False}
 
     def param(self, left: str, right: str, j: int) -> str:
-        return self.param_format.format(left=left, right=right, j=j)
+        return f"a_{left}_{right}_{j}"
 
 
 def make_generic_family(spec: FamilySpec) -> AlgebraTable:
@@ -259,9 +257,9 @@ def make_generic_family(spec: FamilySpec) -> AlgebraTable:
         raise AdmissibilityError("module weight must be a nonnegative integer")
     xs = module_basis(m)
     params: list[str] = []
-    products: dict[tuple[str, str], dict[str, object]] = {}
+    products = _family_products(m, 0)
 
-    def free_module_part(left: str, right: str) -> dict[str, Poly]:
+    def free_module_part(left: str, right: str) -> dict[str, object]:
         coords = {}
         for j in range(m + 1):
             name = spec.param(left, right, j)
@@ -269,39 +267,51 @@ def make_generic_family(spec: FamilySpec) -> AlgebraTable:
             coords[xs[j]] = Poly.param(name)
         return coords
 
-    for (left, right), coords in _SL2_PRODUCTS.items():
-        products[(left, right)] = dict(coords)
-    products.update(_module_products(m))
     for yi in ("y1", "y2"):
         for g in ("e", "f", "h"):
             products[(yi, g)] = free_module_part(yi, g)
     for xk in xs:
         for yi in ("y1", "y2"):
             products[(xk, yi)] = free_module_part(xk, yi)
-    y1y2 = free_module_part("y1", "y2")
-    y1y2["y1"] = Poly.const(1)
-    products[("y1", "y2")] = y1y2
-    products[("y2", "y1")] = {"y1": Poly.const(-1)}
+    products[("y1", "y2")] = {**free_module_part("y1", "y2"), "y1": 1}
     products[("y1", "y1")] = free_module_part("y1", "y1")
     products[("y2", "y2")] = free_module_part("y2", "y2")
+    flags = ""
     if spec.include_sl2_R_products:
+        flags += "_slr"
         for g in ("e", "f", "h"):
             for yi in ("y1", "y2"):
                 products[(g, yi)] = free_module_part(g, yi)
     if spec.include_sl2_defects:
-        for (left, right), coords in _SL2_PRODUCTS.items():
-            defect = free_module_part(left, right)
-            merged: dict[str, object] = dict(coords)
-            merged.update(defect)
-            products[(left, right)] = merged
-    flags = ""
-    if spec.include_sl2_R_products:
-        flags += "_slr"
-    if spec.include_sl2_defects:
         flags += "_defects"
+        for (left, right), coords in _SL2_PRODUCTS.items():
+            products[(left, right)] = {**coords, **free_module_part(left, right)}
     return AlgebraTable.from_products(
         f"generic_m{m}{flags}", _family_basis(m), products, params=tuple(params)
     )
+
+
+def _weight2_products(
+    l: Poly | Rat, mu: Poly | Rat, a: Poly | Rat, b: Poly | Rat
+) -> dict[tuple[str, str], dict[str, object]]:
+    """The products of the eight-dim family over the weight-2 module at
+    coefficients (l, mu, a, b), each a Poly or a rational; a zero
+    coefficient adds no product."""
+    half = Fraction(1, 2)
+    products = _family_products(2, a)
+    if l:
+        products[("e", "y1")] = {"x0": l}
+        products[("f", "y1")] = {"x2": half * l}
+        products[("h", "y1")] = {"x1": l}
+    if mu:
+        products[("e", "y2")] = {"x0": mu}
+        products[("f", "y2")] = {"x2": half * mu}
+        products[("h", "y2")] = {"x1": mu}
+    if b:
+        products[("y2", "y2")] = {"x2": -half * a * b}
+        products[("y2", "e")] = {"x1": b}
+        products[("y2", "h")] = {"x2": b}
+    return products
 
 
 def make_L_prefamily() -> AlgebraTable:
@@ -311,27 +321,9 @@ def make_L_prefamily() -> AlgebraTable:
     y2 -> y2 + (b/2) x2; the family satisfies the Leibniz identity exactly
     on the locus l*(1-a) = 0.
     """
-    l, mu, a, b = (Poly.param(n) for n in ("l", "mu", "a", "b"))
-    half = Fraction(1, 2)
-    products: dict[tuple[str, str], dict[str, object]] = {}
-    products.update(_SL2_PRODUCTS)
-    products.update(_module_products(2))
-    products[("e", "y1")] = {"x0": l}
-    products[("f", "y1")] = {"x2": half * l}
-    products[("h", "y1")] = {"x1": l}
-    products[("e", "y2")] = {"x0": mu}
-    products[("f", "y2")] = {"x2": half * mu}
-    products[("h", "y2")] = {"x1": mu}
-    products[("y1", "y2")] = {"y1": 1}
-    products[("y2", "y1")] = {"y1": -1}
-    products[("y2", "y2")] = {"x2": -half * a * b}
-    for k in range(3):
-        products[(f"x{k}", "y2")] = {f"x{k}": a}
-    products[("y2", "e")] = {"x1": b}
-    products[("y2", "h")] = {"x2": b}
-    return AlgebraTable.from_products(
-        "L_prefamily", _family_basis(2), products, params=("l", "mu", "a", "b")
-    )
+    params = ("l", "mu", "a", "b")
+    products = _weight2_products(*(Poly.param(n) for n in params))
+    return AlgebraTable.from_products("L_prefamily", _family_basis(2), products, params=params)
 
 
 def make_L_family(l: Rat, mu: Rat, a: Rat) -> AlgebraTable:
@@ -346,22 +338,5 @@ def make_L_family(l: Rat, mu: Rat, a: Rat) -> AlgebraTable:
         raise AdmissibilityError(
             f"L(l, mu, a) requires l*(1-a) = 0; got l={l}, a={a}"
         )
-    half = Fraction(1, 2)
-    products: dict[tuple[str, str], dict[str, Rat]] = {}
-    products.update(_SL2_PRODUCTS)
-    products.update(_module_products(2))
-    if l:
-        products[("e", "y1")] = {"x0": l}
-        products[("f", "y1")] = {"x2": half * l}
-        products[("h", "y1")] = {"x1": l}
-    if mu:
-        products[("e", "y2")] = {"x0": mu}
-        products[("f", "y2")] = {"x2": half * mu}
-        products[("h", "y2")] = {"x1": mu}
-    products[("y1", "y2")] = {"y1": 1}
-    products[("y2", "y1")] = {"y1": -1}
-    if a:
-        for k in range(3):
-            products[(f"x{k}", "y2")] = {f"x{k}": a}
     name = "L_" + "_".join(str(v).replace("/", "d") for v in (l, mu, a))
-    return AlgebraTable.from_products(name, _family_basis(2), products)
+    return AlgebraTable.from_products(name, _family_basis(2), _weight2_products(l, mu, a, 0))

@@ -52,21 +52,36 @@ _set = object.__setattr__
 class Record:
     """Base of the package's immutable value classes.
 
-    A subclass sets its __slots__ in __init__ (through _fill), and later
+    The constructor fills __slots__ in order: from the positional
+    arguments, then by keyword, then from the class's _defaults; an
+    unknown, repeated or missing argument raises TypeError. Later
     assignment raises AttributeError. Equality and hash go over the slots
     named in _compare (default: all of them), repr over the public slots.
     """
 
     __slots__ = ()
     _compare: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         # a plain attrgetter, not a method: called as self._key(self)
         cls._key = attrgetter(*(cls._compare or cls.__slots__))
 
-    def _fill(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} arguments but {len(args)} were given")
+        for name, value in zip(names, args):
             _set(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                _set(self, name, kwargs.pop(name))
+            elif name in self._defaults:
+                _set(self, name, self._defaults[name])
+            else:
+                raise TypeError(f"{type(self).__name__} missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} got unexpected or repeated arguments {sorted(kwargs)}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -99,7 +114,7 @@ class Element(Record):
     __slots__ = ("dim", "nonzero")
 
     def __init__(self, coords: Sequence[Poly]):
-        _set(self, "dim", len(coords))  # not _fill: elements are built in the hot loops
+        _set(self, "dim", len(coords))  # not Record.__init__: elements are built in the hot loops
         _set(self, "nonzero", {i: c for i, c in enumerate(coords) if c})
 
     @classmethod
@@ -244,15 +259,7 @@ class Verdict(Record):
     """Outcome of a PASS/FAIL check, with a witness when it fails."""
 
     __slots__ = ("status", "witness", "residual", "detail")
-
-    def __init__(
-        self,
-        status: str,
-        witness: tuple[str, ...] | None = None,
-        residual: Element | None = None,
-        detail: str = "",
-    ):
-        self._fill(status, witness, residual, detail)
+    _defaults = {"witness": None, "residual": None, "detail": ""}
 
     @property
     def passed(self) -> bool:
@@ -308,7 +315,7 @@ class AlgebraTable(Record):
                             raise DimensionMismatchError(
                                 f"undeclared parameters in table entry: {sorted(extra)}"
                             )
-        self._fill(name, dim, params, basis, table, None)
+        Record.__init__(self, name, dim, params, basis, table, None)
 
     @classmethod
     def from_products(
@@ -526,11 +533,6 @@ class AlgebraTable(Record):
         """Quotient table on the non-pivot coordinates, plus the projection."""
         from . import spaces
         return spaces.quotient_by(self, sub)
-
-    def _center_dim(self, side: str) -> int:
-        """dim{ z : [z, L] = 0 } (left) or dim{ z : [L, z] = 0 } (right)."""
-        from . import spaces
-        return spaces.center_dim(self, side)
 
     def invariant_profile(self) -> InvariantProfile:
         """Derived and lower central series dims, centers, squares ideal."""

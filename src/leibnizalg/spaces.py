@@ -113,9 +113,6 @@ class Subspace(Record):
 
     __slots__ = ("ambient", "rows", "pivots")
 
-    def __init__(self, ambient: int, rows: tuple[tuple[Fraction, ...], ...], pivots: tuple[int, ...]):
-        self._fill(ambient, rows, pivots)
-
     @staticmethod
     def zero(ambient: int) -> "Subspace":
         return Subspace(ambient, (), ())
@@ -183,26 +180,6 @@ class InvariantProfile(Record):
         "squares_ideal_dim",
     )
 
-    def __init__(
-        self,
-        dim: int,
-        derived_dim: int,
-        derived_series: tuple[int, ...],
-        lower_central_series: tuple[int, ...],
-        left_center_dim: int,
-        right_center_dim: int,
-        squares_ideal_dim: int,
-    ):
-        self._fill(
-            dim,
-            derived_dim,
-            derived_series,
-            lower_central_series,
-            left_center_dim,
-            right_center_dim,
-            squares_ideal_dim,
-        )
-
     def as_dict(self) -> dict[str, object]:
         return {f: getattr(self, f) for f in self.__slots__}
 
@@ -216,9 +193,6 @@ class QuotientMap(Record):
     """
 
     __slots__ = ("ideal", "kept")
-
-    def __init__(self, ideal: Subspace, kept: tuple[int, ...]):
-        self._fill(ideal, kept)
 
     def __call__(self, el: Element) -> Element:
         coords = dict(el.nonzero)
@@ -235,11 +209,6 @@ class ProfileReport(Record):
     """Outcome of comparing two invariant profiles."""
 
     __slots__ = ("status", "left", "right", "separating")
-
-    def __init__(
-        self, status: str, left: InvariantProfile, right: InvariantProfile, separating: tuple[str, ...]
-    ):
-        self._fill(status, left, right, separating)
 
     @property
     def distinguished(self) -> bool:
@@ -400,7 +369,7 @@ def invariant_profile(t: AlgebraTable) -> InvariantProfile:
         derived_dim=derived[1] if len(derived) > 1 else derived[0],
         derived_series=derived,
         lower_central_series=lower,
-        left_center_dim=t._center_dim("left"),
-        right_center_dim=t._center_dim("right"),
+        left_center_dim=center_dim(t, "left"),
+        right_center_dim=center_dim(t, "right"),
         squares_ideal_dim=t.squares_ideal().dim,
     )

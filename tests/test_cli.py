@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from unittest import mock
@@ -284,6 +286,88 @@ def test_change_basis_wrong_basis_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "change-basis", path, chg)
     assert code == 2
     assert "does not match" in err
+
+
+LONG = "7" * 5000  # past int()'s default limit of 4,300 digits
+
+
+def long_literal_doc(kind, case):
+    """A one-dimensional `kind` document with LONG at `case`, and the line it is on."""
+    dim, params, expr, lineno = "1", "", "z", 4
+    if case == "dim":
+        dim, lineno = LONG, 2
+    elif case == "coefficient":
+        expr = f"{LONG}*z"
+    elif case == "denominator":
+        expr = f"1/{LONG}*z"
+    else:
+        params, expr, lineno = "params a\n", f"a^{LONG}*z", 5
+    body = "[z,z]" if kind == "algebra" else "new z"
+    return f"{kind} t\ndim {dim}\n{params}basis z\n{body} = {expr}\n", lineno
+
+
+@pytest.mark.parametrize("kind", ["algebra", "change"])
+@pytest.mark.parametrize("case", ["coefficient", "denominator", "exponent", "dim"])
+def test_overlong_integer_literal_is_a_positioned_usage_error(capsys, tmp_path, kind, case):
+    doc, lineno = long_literal_doc(kind, case)
+    path = write(tmp_path, "long.txt", doc)
+    if kind == "algebra":
+        argv = ("check", path)
+    else:
+        argv = ("change-basis", write(tmp_path, "z.alg", "algebra z\ndim 1\nparams a\nbasis z\n"), path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: line {lineno}: cannot read the integer {'7' * 20}... (5000 digits)\n"
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_transcripts():
+    """(command, printed lines) for each `$ ` line of the sh blocks in README's
+    Quick start and isomorphism sections, which end at the CLI reference."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Quick start") : text.index("## CLI reference")]
+    steps = []
+    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                steps.append((line[2:], []))
+            elif line:
+                steps[-1][1].append(line)
+    return steps
+
+
+def test_readme_transcripts_replay(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    steps = readme_transcripts()
+    code = None
+    for command, printed in steps:
+        want = "".join(line + "\n" for line in printed)
+        words = shlex.split(command)
+        if words[0] == "cat":  # the transcript shows a file the reader writes
+            write(tmp_path, words[1], want)
+            continue
+        if words == ["echo", "$?"]:
+            assert want == f"{code}\n", command
+            continue
+        assert words[0] == "leibnizalg", command
+        target = tail = None
+        if words[-2:-1] == [">"]:
+            words, target = words[:-2], words[-1]
+        if words[-3:] == ["|", "tail", "-1"]:
+            words, tail = words[:-3], True
+        code, out, err = run(capsys, *words[1:])
+        if target:
+            write(tmp_path, target, out)
+            out = ""
+        if tail:
+            out = out.splitlines(keepends=True)[-1]
+        assert out + err == want, command
+    replayed = " ".join(command for command, _ in steps)
+    for command in ("construct Lfamily", "construct prefamily", "constraints", "quotient", "verify-iso"):
+        assert f"leibnizalg {command}" in replayed
 
 
 def test_profile_human_and_porcelain(capsys, tmp_path):

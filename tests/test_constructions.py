@@ -24,8 +24,8 @@ def test_r2_table(r2):
 
 
 def test_abelian():
-    t = L.make_abelian(3, prefix="w")
-    assert t.basis == ("w0", "w1", "w2")
+    t = L.make_abelian(3)
+    assert t.basis == ("z0", "z1", "z2")
     assert all(t.entry(i, j).is_zero() for i in range(3) for j in range(3))
     for dim in (0, -3):
         with pytest.raises(L.AdmissibilityError, match="positive integer"):

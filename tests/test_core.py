@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leibnizalg as L
-from leibnizalg import core
+from leibnizalg import core, spaces
 from leibnizalg.basis import BasisChange, det_and_adjugate, mat_from_rows, mat_identity, mat_mul
 from leibnizalg.scalars import Poly
 
@@ -76,8 +76,7 @@ def test_record_repr_names_class_and_fields():
     assert repr(L.Subspace.zero(2)) == "Subspace(ambient=2, rows=(), pivots=())"
     assert repr(L.Verdict("PASS")) == "Verdict(status='PASS', witness=None, residual=None, detail='')"
     assert repr(L.FamilySpec(2)) == (
-        "FamilySpec(m=2, include_sl2_R_products=False, include_sl2_defects=False, "
-        "param_format='a_{left}_{right}_{j}')"
+        "FamilySpec(m=2, include_sl2_R_products=False, include_sl2_defects=False)"
     )
     table = repr(L.make_r2())
     assert table.startswith("AlgebraTable(name='r2', dim=2, params=(), basis=('y1', 'y2'), table=((")
@@ -109,6 +108,24 @@ def test_record_equality_and_hash():
         assert one == two and one is not two
         if not isinstance(one, L.ChangeDocument):  # it holds a dict, so it is unhashable
             assert hash(one) == hash(two)
+
+
+def test_record_constructor_fills_slots_in_order():
+    spec = L.FamilySpec(2, True)
+    assert (spec.m, spec.include_sl2_R_products, spec.include_sl2_defects) == (2, True, False)
+    assert L.FamilySpec(m=2, include_sl2_defects=True) == L.FamilySpec(2, False, True)
+    assert L.Verdict("PASS", detail="ok") == L.Verdict("PASS", None, None, "ok")
+    assert L.Subspace(2, (), ()) == L.Subspace(rows=(), pivots=(), ambient=2)
+    for build, match in (
+        (lambda: L.Subspace(2, (), (), ()), "takes 3 arguments but 4"),
+        (lambda: L.Subspace(2, ()), "missing argument 'pivots'"),
+        (lambda: L.FamilySpec(), "missing argument 'm'"),
+        (lambda: L.Verdict("PASS", wit=("e",)), r"unexpected or repeated arguments \['wit'\]"),
+        (lambda: L.Verdict("PASS", status="FAIL"), r"unexpected or repeated arguments \['status'\]"),
+        (lambda: L.FamilySpec(1, param_format="p{j}"), "param_format"),
+    ):
+        with pytest.raises(TypeError, match=match):
+            build()
 
 
 def test_constants_are_cached_on_the_instance():
@@ -824,5 +841,5 @@ def test_sparse_kernel_matches_reference(data):
     assert t.ideal_closure(left) == ref_ideal_closure(t, left)
     assert t.squares_ideal() == ref_squares_ideal(t)
     for side in ("left", "right"):
-        assert t._center_dim(side) == ref_center_dim(t, side)
+        assert spaces.center_dim(t, side) == ref_center_dim(t, side)
     assert t.invariant_profile() == ref_invariant_profile(t)
