@@ -175,10 +175,8 @@ def _parse_header(
 
     lineno, fields = next_line("dim")
     if len(fields) != 2 or fields[0] != "dim" or not fields[1].isdigit():
-        raise ParseError(lineno, "expected `dim INT` with a positive integer")
+        raise ParseError(lineno, "expected `dim INT` with a nonnegative integer")
     dim = _int(fields[1], lineno)
-    if dim < 1:
-        raise ParseError(lineno, "expected `dim INT` with a positive integer")
 
     lineno, fields = next_line("basis")
     params: tuple[str, ...] = ()
@@ -187,7 +185,8 @@ def _parse_header(
         lineno, fields = next_line("basis")
     if not fields or fields[0] != "basis":
         raise ParseError(lineno, "expected `basis NAME+`")
-    basis = _parse_names(fields[1:], "basis", lineno)
+    # the zero algebra (dim 0, as a quotient by all of L) has an empty basis line
+    basis = _parse_names(fields[1:], "basis", lineno) if dim or fields[1:] else ()
     if len(basis) != dim:
         raise ParseError(lineno, f"dim {dim} but {len(basis)} basis symbols")
     clash = set(params) & set(basis)

@@ -8,8 +8,8 @@ parametric-input and admissibility errors. Reports are plain text; pass
 Every command parses or writes .alg text, so algfile and core load with this
 module; every other module loads only in the commands that run it (README,
 "Library layout"), which keeps each command's start-up small. argparse is
-among them: only `construct` and argv that the command table does not fit
-load it.
+among them: only `construct` with a constructor's arguments and argv that
+the command table does not fit load it.
 """
 
 from __future__ import annotations
@@ -141,15 +141,18 @@ def _cmd_construct(args) -> int:
         known = "\n  ".join(f"{k}: {text}" for k, (text, _, _) in sorted(_CONSTRUCTORS.items()))
         print(f"error: unknown constructor {name!r}; known constructors:\n  {known}", file=sys.stderr)
         return 2
-    import argparse
-
     from . import constructions
 
     _, spec, build = _CONSTRUCTORS[name]
-    sub = argparse.ArgumentParser(prog=f"leibnizalg construct {name}", add_help=True)
-    for flag, options in spec:
-        sub.add_argument(flag, **options)
-    table = build(constructions, sub.parse_args(args.args))
+    ns = None  # a constructor without arguments, given none, needs no parser
+    if spec or args.args:
+        import argparse
+
+        sub = argparse.ArgumentParser(prog=f"leibnizalg construct {name}", add_help=True)
+        for flag, options in spec:
+            sub.add_argument(flag, **options)
+        ns = sub.parse_args(args.args)
+    table = build(constructions, ns)
     sys.stdout.write(serialize_algebra(table))
     return 0
 

@@ -25,12 +25,12 @@ coefficients named a_<left>_<right>_<j>.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .core import AlgebraTable, Matrix, Record
+from .core import AlgebraTable, Element, Matrix, Record, scale_table, scaled_residual, zero_element
 from .errors import AdmissibilityError, DimensionMismatchError, ParametricError
-from .scalars import ZERO, Poly
+from .scalars import ZERO, Poly, as_poly
 
 Rat = Fraction | int
 
@@ -69,6 +69,16 @@ def module_basis(m: int) -> tuple[str, ...]:
     return tuple(f"x{k}" for k in range(m + 1))
 
 
+def _module_action(m: int) -> dict[str, dict[tuple[int, int], int]]:
+    """The nonzero entries {(row, column): value} of right multiplication
+    by e, f and h on the weight-m module; column k is the image of x_k."""
+    return {
+        "e": {(k - 1, k): -k * (m + 1 - k) for k in range(1, m + 1)},
+        "f": {(k + 1, k): 1 for k in range(m)},
+        "h": {(k, k): m - 2 * k for k in range(m + 1) if m - 2 * k},
+    }
+
+
 def make_sl2_module(m: int) -> tuple[tuple[str, ...], Matrix, Matrix, Matrix]:
     """The irreducible weight-m right module for sl2.
 
@@ -78,31 +88,18 @@ def make_sl2_module(m: int) -> tuple[tuple[str, ...], Matrix, Matrix, Matrix]:
     """
     if m < 0:
         raise AdmissibilityError("module weight must be a nonnegative integer")
-    n = m + 1
-
-    def matrix(entries: dict[tuple[int, int], int]) -> Matrix:
-        return tuple(
-            tuple(Poly.const(entries[r, c]) if (r, c) in entries else ZERO for c in range(n))
-            for r in range(n)
-        )
-
-    e = matrix({(k - 1, k): -k * (m + 1 - k) for k in range(1, n)})
-    f = matrix({(k + 1, k): 1 for k in range(m)})
-    h = matrix({(k, k): m - 2 * k for k in range(n)})
+    every = range(m + 1)
+    action = _module_action(m)
+    e, f, h = (
+        tuple(tuple(Poly.const(x[r, c]) if (r, c) in x else ZERO for c in every) for r in every)
+        for x in (action["e"], action["f"], action["h"])
+    )
     return module_basis(m), e, f, h
 
 
 def _module_products(m: int) -> dict[tuple[str, str], dict[str, Rat]]:
     """Sparse right-action products of sl2 on the weight-m module block."""
-    out: dict[tuple[str, str], dict[str, Rat]] = {}
-    for k in range(m + 1):
-        if m - 2 * k:
-            out[(f"x{k}", "h")] = {f"x{k}": m - 2 * k}
-        if k < m:
-            out[(f"x{k}", "f")] = {f"x{k + 1}": 1}
-        if k > 0:
-            out[(f"x{k}", "e")] = {f"x{k - 1}": -k * (m + 1 - k)}
-    return out
+    return {(f"x{c}", g): {f"x{r}": x} for g, xs in _module_action(m).items() for (r, c), x in xs.items()}
 
 
 def make_dzhumadildaev(
@@ -111,10 +108,11 @@ def make_dzhumadildaev(
     """Adjoin a right module to a Lie algebra as a zero-square block.
 
     Products: [g, g'] from the Lie table, [m, g_i] = action[g_i] applied to
-    m, and [g, m] = [m, m'] = 0. The result is a Leibniz algebra whenever
-    the action matrices represent right multiplication compatibly with the
-    Lie products, which is validated here:
-    R_[gi,gj] = R_gj . R_gi - R_gi . R_gj.
+    m, and [g, m] = [m, m'] = 0. The result is a Leibniz algebra exactly
+    when R_[gi,gj] = R_gj . R_gi - R_gi . R_gj for every pair, which is
+    validated here: that is the Leibniz identity at (x, gi, gj) for every
+    module vector x, and at every other triple the residual is zero, since
+    [g, M] = [M, M] = 0 and g is Lie.
     """
     if g.is_parametric():
         raise ParametricError("the Lie factor must be a constant table")
@@ -128,50 +126,31 @@ def make_dzhumadildaev(
         raise DimensionMismatchError("module basis names clash with the Lie basis")
     if set(action) != set(g.basis):
         raise DimensionMismatchError("action must give one matrix per Lie basis symbol")
-    mdim = len(module)
-    nonzero: dict[str, list[dict[int, Poly]]] = {}  # per Lie symbol, the nonzero entries of each row
-    for gi, mat in action.items():
+    mdim, n = len(module), g.dim
+    dim = n + mdim
+    # acted[c][i] holds the nonzero entries of column c of action[g_i]: [module[c], g_i]
+    acted: list[list[dict[int, Poly]]] = [[{} for _ in range(n)] for _ in range(mdim)]
+    for i, gi in enumerate(g.basis):
+        mat = action[gi]
         if len(mat) != mdim or any(len(row) != mdim for row in mat):
             raise DimensionMismatchError("action matrix has the wrong shape")
-        nonzero[gi] = [{c: x for c, x in enumerate(row) if x} for row in mat]
+        for r, row in enumerate(mat):
+            for c, x in enumerate(row):
+                if x:
+                    acted[c][i][n + r] = as_poly(x)
+    zeros = (zero_element(dim),) * mdim
+    table = tuple(tuple(Element.of(dim, e.nonzero) for e in row) + zeros for row in g.table)
+    table += tuple(tuple(Element.of(dim, v) for v in col) + zeros for col in acted)
+    # packed over the action's parameters, which AlgebraTable refuses only after the check
+    params = set().union(*(p.parameters() for col in acted for v in col for p in v.values()))
+    rows = scale_table(table, params)[1]
     for i, gi in enumerate(g.basis):
         for j, gj in enumerate(g.basis):
-            # R_[gi,gj] - R_gj.R_gi + R_gi.R_gj, summed over nonzero entries only
-            terms = [
-                ((r, col), c * x)
-                for k, c in g.table[i][j].nonzero.items()
-                for r, row in enumerate(nonzero[g.basis[k]])
-                for col, x in row.items()
-            ]
-            terms += (((r, col), -x) for (r, col), x in _sparse_product(nonzero[gj], nonzero[gi]))
-            terms += _sparse_product(nonzero[gi], nonzero[gj])
-            diff: dict[tuple[int, int], Poly] = {}
-            for key, x in terms:
-                diff[key] = diff[key] + x if key in diff else x
-            if any(diff.values()):
+            if any(scaled_residual(rows, x, i, j) for x in range(n, n + mdim)):
                 raise AdmissibilityError(
                     f"action matrices are not a right module: fails at [{gi},{gj}]"
                 )
-    basis = g.basis + module
-    products: dict[tuple[str, str], dict[str, Poly]] = {}
-    for i, gi in enumerate(g.basis):
-        for j, gj in enumerate(g.basis):
-            entry = g.table[i][j].nonzero
-            if entry:
-                products[(gi, gj)] = {g.basis[k]: c for k, c in entry.items()}
-    for gj in g.basis:
-        for r, row in enumerate(nonzero[gj]):
-            for col, x in row.items():
-                products.setdefault((module[col], gj), {})[module[r]] = x
-    return AlgebraTable.from_products(f"{g.name}_plus_module", basis, products)
-
-
-def _sparse_product(a: list[dict[int, Poly]], b: list[dict[int, Poly]]) -> Iterator[tuple[tuple[int, int], Poly]]:
-    """The terms ((r, c), a[r][k]*b[k][c]) of the matrix product a.b, over nonzero entries."""
-    for r, row in enumerate(a):
-        for k, x in row.items():
-            for c, y in b[k].items():
-                yield (r, c), x * y
+    return AlgebraTable(f"{g.name}_plus_module", dim, (), g.basis + module, table)
 
 
 def make_direct_sum(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:

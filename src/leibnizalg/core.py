@@ -9,13 +9,13 @@ the bilinear extension of the table. The residual
 vanishes for all basis triples exactly when the table satisfies the
 (right) Leibniz identity; a Lie table additionally has [x, y] = -[y, x].
 There is one residual kernel, for constant and parametric tables alike:
-AlgebraTable.scaled_rows multiplies every entry by the lcm D of the
-table's denominators and packs each monomial into one int
+scale_table (AlgebraTable.scaled_rows) multiplies every entry by the lcm D
+of the table's denominators and packs each monomial into one int
 (scalars.mono_packing), and scaled_residual returns D^2 times the residual,
 multiplying monomials by adding ints, with no Fraction or Poly arithmetic.
-The identity checks, residual, and extract_constraints in analysis all run
-on it, and the checks visit only the triples whose residual can be nonzero
-(sparse_triples).
+The identity checks, residual, extract_constraints in analysis and the
+module check of make_dzhumadildaev in constructions all run on it, and the
+checks visit only the triples whose residual can be nonzero (sparse_triples).
 
 Constant tables have one more representation, their sparse Fraction
 structure constants (AlgebraTable.constants), built once per table for
@@ -27,7 +27,7 @@ basis. So `check` and `constraints` compile neither.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import attrgetter
@@ -42,6 +42,7 @@ SparseVec = dict[int, Fraction]
 Constants = list[list[list[tuple[int, Fraction]]]]
 # scaled_rows()[1][i][j] lists the nonzero (k, {packed monomial: integer}) of D*[b_i, b_j]
 ScaledRows = list[list[list[tuple[int, dict[int, int]]]]]
+Scaled = tuple[int, ScaledRows, Callable[[int], Mono]]  # (D, rows, unpack) of scale_table
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -191,6 +192,30 @@ def sparse(coords: Sequence[Fraction]) -> SparseVec:
 def sparse_element(dim: int, vec: SparseVec) -> Element:
     """The Element with the coordinates of a constant sparse vector."""
     return Element.of(dim, {k: Poly.const(x) for k, x in vec.items()})
+
+
+def scale_table(table: Sequence[Sequence[Element]], params: Iterable[str]) -> Scaled:
+    """(D, rows, unpack): D is the lcm of every coefficient denominator in
+    the table, rows[i][j] lists the nonzero (k, {packed monomial: integer})
+    coordinates of D*[b_i, b_j], and unpack maps a packed monomial of
+    rows, or of a product of two of their monomials, back to a Mono.
+    Monomials are packed by scalars.mono_packing over params, which must
+    name every parameter in the table, sized for its largest exponent."""
+    polys = [poly for row in table for entry in row for poly in entry.nonzero.values()]
+    d = lcm(*{c.denominator for poly in polys for c in poly.terms.values()})
+    top = max((e for poly in polys for mono in poly.terms for _, e in mono), default=0)
+    pack, unpack = mono_packing(params, top)
+    rows = [
+        [
+            [
+                (k, {pack(mono): c.numerator * (d // c.denominator) for mono, c in poly.terms.items()})
+                for k, poly in entry.nonzero.items()
+            ]
+            for entry in row
+        ]
+        for row in table
+    ]
+    return d, rows, unpack
 
 
 def scaled_residual(rows: ScaledRows, i: int, j: int, k: int) -> dict[int, dict[int, int]]:
@@ -402,29 +427,9 @@ class AlgebraTable(Record):
                         acc[k] = acc[k] + scale * ck if k in acc else scale * ck
         return Element.of(self.dim, acc)
 
-    def scaled_rows(self) -> tuple[int, ScaledRows, Callable[[int], Mono]]:
-        """(D, rows, unpack): D is the lcm of every coefficient denominator in
-        the table, rows[i][j] lists the nonzero (k, {packed monomial: integer})
-        coordinates of D*[b_i, b_j], and unpack maps a packed monomial of
-        rows, or of a product of two of their monomials, back to a Mono.
-        Monomials are packed by scalars.mono_packing over the declared
-        parameters, sized for the table's largest exponent. Built afresh on
-        every call."""
-        polys = [poly for row in self.table for entry in row for poly in entry.nonzero.values()]
-        d = lcm(*{c.denominator for poly in polys for c in poly.terms.values()})
-        top = max((e for poly in polys for mono in poly.terms for _, e in mono), default=0)
-        pack, unpack = mono_packing(self.params, top)
-        rows = [
-            [
-                [
-                    (k, {pack(mono): c.numerator * (d // c.denominator) for mono, c in poly.terms.items()})
-                    for k, poly in entry.nonzero.items()
-                ]
-                for entry in row
-            ]
-            for row in self.table
-        ]
-        return d, rows, unpack
+    def scaled_rows(self) -> Scaled:
+        """scale_table over this table and its declared parameters, built afresh on every call."""
+        return scale_table(self.table, self.params)
 
     def residual(self, i: int, j: int, k: int) -> Element:
         """r(b_i, b_j, b_k) = [b_i,[b_j,b_k]] - [[b_i,b_j],b_k] + [[b_i,b_k],b_j]."""

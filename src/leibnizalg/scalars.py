@@ -118,12 +118,25 @@ def format_term(coeff: Fraction, mono: Mono, symbol: str | None = None) -> tuple
         sign, num = -1, -num
     factors = []
     if num != 1 or den != 1 or (not mono and symbol is None):
-        factors.append(str(num) if den == 1 else f"{num}/{den}")
+        try:
+            factors.append(str(num) if den == 1 else f"{num}/{den}")
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            factors.append(_digits(num) if den == 1 else f"{_digits(num)}/{_digits(den)}")
     if mono:
         factors.append(mono_str(mono))
     if symbol is not None:
         factors.append(symbol)
     return sign, "*".join(factors)
+
+
+def _digits(n: int) -> str:
+    """The decimal digits of a nonnegative int of any size, exactly: 500-digit
+    chunks, each under every digit limit sys.set_int_max_str_digits admits."""
+    chunks = []
+    while n >= 10**500:
+        n, low = divmod(n, 10**500)
+        chunks.append(f"{low:0500d}")
+    return str(n) + "".join(reversed(chunks))
 
 
 def _join_terms(parts: Iterable[tuple[int, str]]) -> str:

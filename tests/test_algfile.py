@@ -62,7 +62,9 @@ def test_whitespace_and_comments_are_free():
     [
         ("dim 3\nbasis a b c\n", 1, "algebra"),
         ("algebra x\nbasis a\n", 2, "dim"),
-        ("algebra x\ndim 0\nbasis\n", 2, "positive"),
+        ("algebra x\ndim -1\nbasis\n", 2, "nonnegative"),
+        ("algebra x\ndim 0\nbasis a\n", 3, "dim 0 but 1"),
+        ("algebra x\ndim 1\nbasis\n", 3, "no names"),
         ("algebra x\ndim 2\nbasis a\n", 3, "2"),
         ("algebra x\ndim 2\nbasis a a\n", 3, "duplicate"),
         ("algebra x\ndim 2\nparams p\nbasis a p\n", 4, "clash"),
@@ -94,6 +96,12 @@ def test_serialize_zero_table_is_header_only():
     text = L.serialize_algebra(t)
     assert text == "algebra abelian3\ndim 3\nbasis z0 z1 z2\n"
     assert L.parse_algebra(text) == t
+
+
+def test_zero_algebra_round_trips():
+    t = L.parse_algebra("algebra q_mod_I\ndim 0\nbasis \n")
+    assert (t.dim, t.basis, t.table) == (0, (), ())
+    assert L.serialize_algebra(t) == "algebra q_mod_I\ndim 0\nbasis \n"
 
 
 def test_round_trip_fixtures():

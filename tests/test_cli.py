@@ -320,6 +320,57 @@ def test_overlong_integer_literal_is_a_positioned_usage_error(capsys, tmp_path, 
     assert err == f"error: line {lineno}: cannot read the integer {'7' * 20}... (5000 digits)\n"
 
 
+def test_check_prints_a_residual_past_the_digit_limit(capsys, tmp_path):
+    # a 3,000-digit literal parses; the residual's coefficient is its square,
+    # 10^5998 + 14*10^2999 + 49, with 5,999 digits
+    path = write(tmp_path, "big.alg", f"algebra t\ndim 1\nbasis z\n[z,z] = {10**2999 + 7}*z\n")
+    square = "1" + "0" * 2997 + "14" + "0" * 2997 + "49"
+    code, out, err = run(capsys, "check", path)
+    assert (code, err) == (1, "")
+    assert out == f"FAIL: t: Leibniz identity fails at (z, z, z)\n  residual: {square}*z\n"
+    code, out, _ = run(capsys, "check", path, "--porcelain")
+    assert (code, out) == (1, f"status\tFAIL\nwitness\tz,z,z\nresidual\t{square}*z\n")
+
+
+ZERO_ALGEBRA = "algebra z\ndim 0\nbasis \n"
+ZERO_PROFILE = "".join(
+    f"profile\tz\t{field}\t0\n"
+    for field in ("dim", "derived_dim", "derived_series", "lower_central_series",
+                  "left_center_dim", "right_center_dim", "squares_ideal_dim")
+)
+
+
+ZERO_CASES = [
+    (("check", "Z"), "PASS: z satisfies the Leibniz identity (dim 0)\n"),
+    (("check", "Z", "--mode", "lie"), "PASS: z satisfies the Lie axioms (dim 0)\n"),
+    (("ideal", "Z"), "squares ideal of z: dimension 0\n"),
+    (("ideal", "Z", "--porcelain"), "dim\t0\n"),
+    (("quotient", "Z"), "algebra z_mod_I\ndim 0\nbasis \n"),
+    (("profile", "--porcelain", "Z"), ZERO_PROFILE),
+    (("constraints", "Z"), ""),
+    (("constraints", "Z", "--porcelain"), "count\t0\n"),
+    (("change-basis", "Z", "identity"), ZERO_ALGEBRA),
+    (("verify-iso", "Z", "Z", "identity"), "PASS: the change maps z onto z\n"),
+]
+
+
+@pytest.mark.parametrize(("argv", "want"), ZERO_CASES, ids=[" ".join(argv) for argv, _ in ZERO_CASES])
+def test_every_command_on_the_zero_algebra(capsys, tmp_path, argv, want):
+    path = write(tmp_path, "zero.alg", ZERO_ALGEBRA)
+    code, out, err = run(capsys, *(path if word == "Z" else word for word in argv))
+    assert (code, out, err) == (0, want, "")
+
+
+def test_quotient_by_all_of_l_reads_back(capsys, tmp_path):
+    path = write(tmp_path, "zz.alg", "algebra q\ndim 1\nbasis z\n[z,z] = z\n")
+    code, out, _ = run(capsys, "quotient", path)
+    assert (code, out) == (0, "# squares ideal row: z\nalgebra q_mod_I\ndim 0\nbasis \n")
+    quotient = write(tmp_path, "q.alg", out)
+    for command in ("check", "ideal", "profile"):
+        code, _, err = run(capsys, command, quotient)
+        assert (code, err) == (0, ""), command
+
+
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
@@ -740,6 +791,9 @@ SKIPPED_LAYERS = [
     ("profile", "--porcelain", "sl2.alg", "a.alg", "b.alg"),
     ("change-basis", "a.alg", "c.chg"),
     ("verify-iso", "a.alg", "b.alg", "c.chg", "--porcelain"),
+    ("construct", "sl2"),
+    ("construct", "r2"),
+    ("construct", "prefamily"),
 ], ids=" ".join)
 def test_table_commands_do_not_import_argparse(small_inputs, argv):
     added, _ = imports_of(small_inputs, *argv)

@@ -225,3 +225,17 @@ term_coefficients = st.one_of(
 @given(term_coefficients, st.one_of(st.just(()), monomials), st.one_of(st.none(), st.sampled_from(("x0", "e", "y2"))))
 def test_format_term_matches_reference(coeff, mono, symbol):
     assert format_term(coeff, mono, symbol) == ref_format_term(coeff, mono, symbol)
+
+
+def test_format_term_prints_past_the_digit_limit():
+    # more digits than str() gives under any limit sys.set_int_max_str_digits admits
+    n = 3**20000 + 1  # 9,543 digits
+    sign, body = format_term(Fraction(-n, 7), ())
+    num, den = body.split("/")
+    assert (sign, den, len(num)) == (-1, "7", 9543)
+    chunks = [int(num[i:i + 500]) for i in range(0, len(num), 500)]  # each under the limit
+    value = 0
+    for i, chunk in enumerate(chunks):
+        width = min(500, len(num) - 500 * i)
+        value = value * 10**width + chunk
+    assert value == n

@@ -6,6 +6,7 @@ make_dzhumadildaev, serialize_algebra, format_element and constants(). They
 read an element through its dense coords view.
 """
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -70,12 +71,13 @@ def ref_module_failure(g, action):
     return None
 
 
-def perturbed_action(rng: random.Random, m: int) -> dict:
-    """The weight-m action with one entry of one matrix changed, sometimes
-    by a multiple of a parameter, or (one time in six) left alone."""
+def perturbed_action(rng: random.Random, m: int, changes: int = 1) -> dict:
+    """The weight-m action with `changes` entries changed, each in a random
+    matrix, sometimes by a multiple of a parameter, or (one time in six) left
+    alone."""
     _, e, f, h = L.make_sl2_module(m)
     action = {"e": e, "f": f, "h": h}
-    if rng.randrange(6):
+    for _ in range(changes if rng.randrange(6) else 0):
         sym = rng.choice("ehf")
         r, c = rng.randrange(m + 1), rng.randrange(m + 1)
         delta = Poly.const(Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)))
@@ -90,10 +92,12 @@ def perturbed_action(rng: random.Random, m: int) -> dict:
 def test_module_check_matches_dense_reference():
     sl2 = L.make_sl2()
     outcomes = set()
-    for seed in range(300):
+    # one changed entry on small modules, then two on modules up to m = 12
+    cases = [(seed, 5, 1) for seed in range(300)] + [(seed, 12, 2) for seed in range(5000, 5300)]
+    for seed, top, changes in cases:
         rng = random.Random(seed)
-        m = rng.randint(0, 5)
-        action = perturbed_action(rng, m)
+        m = rng.randint(0, top)
+        action = perturbed_action(rng, m, changes)
         want = ref_module_failure(sl2, action)
         try:
             L.make_dzhumadildaev(sl2, L.make_sl2_module(m)[0], action)
@@ -109,6 +113,39 @@ def test_module_check_matches_dense_reference():
         outcomes.add(want)
     # both verdicts, and failures first seen at several pairs
     assert None in outcomes and len(outcomes) >= 4
+
+
+# sha256 of serialize_algebra of make_dzhumadildaev(sl2, V(m)) for m = 0..20,
+# concatenated, as built by the Poly matrix check this kernel replaced
+DZ_TABLES_SHA256 = "ec5dcdf09382b87f053a3c540f18a62319324cc0413f6bf9da5c75cae96ed88b"
+
+
+def sl2_module_action(m):
+    names, e, f, h = L.make_sl2_module(m)
+    return names, {"e": e, "f": f, "h": h}
+
+
+def test_module_tables_are_leibniz_and_unchanged():
+    digest = hashlib.sha256()
+    for m in range(21):
+        t = L.make_dzhumadildaev(L.make_sl2(), *sl2_module_action(m))
+        assert t.check_leibniz().passed, m
+        digest.update(L.serialize_algebra(t).encode())
+    assert digest.hexdigest() == DZ_TABLES_SHA256
+
+
+def test_module_check_multiplies_no_poly(monkeypatch):
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    L.make_dzhumadildaev(L.make_sl2(), *sl2_module_action(20))
+    assert calls == []
 
 
 def test_module_check_is_exact_on_parametric_entries():
