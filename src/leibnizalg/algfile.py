@@ -208,7 +208,7 @@ def parse_algebra(text: str) -> AlgebraTable:
     """Parse an .alg document into a table."""
     (name, dim, params, basis), body = _parse_header(_content_lines(text), "algebra")
     index = {b: i for i, b in enumerate(basis)}
-    rows: list[list[Element]] = [[zero_element(dim)] * dim for _ in range(dim)]
+    rows: list[dict[int, Element]] = [{} for _ in basis]
     seen: set[tuple[str, str]] = set()
     for lineno, line in body:
         squeezed = re.sub(r"\s+", "", line)
@@ -223,7 +223,7 @@ def parse_algebra(text: str) -> AlgebraTable:
             raise ParseError(lineno, f"duplicate product [{left},{right}]")
         seen.add((left, right))
         rows[index[left]][index[right]] = _parse_element(expr, params, index, lineno)
-    return AlgebraTable(name, dim, params, basis, tuple(tuple(r) for r in rows))
+    return AlgebraTable(name, dim, params, basis, rows)
 
 
 def serialize_algebra(t: AlgebraTable) -> str:
@@ -232,10 +232,9 @@ def serialize_algebra(t: AlgebraTable) -> str:
     if t.params:
         lines.append("params " + " ".join(t.params))
     lines.append("basis " + " ".join(t.basis))
-    for left, row in zip(t.basis, t.table):
-        for right, entry in zip(t.basis, row):
-            if entry.nonzero:
-                lines.append(f"[{left},{right}] = {format_element(entry, t.basis)}")
+    for left, row in zip(t.basis, t.rows):
+        for j, entry in row.items():
+            lines.append(f"[{left},{t.basis[j]}] = {format_element(entry, t.basis)}")
     return "\n".join(lines) + "\n"
 
 

@@ -140,12 +140,6 @@ class BasisChange(Record):
                 names |= poly.parameters()
         return names
 
-    def then(self, second: "BasisChange") -> "BasisChange":
-        """The change `self followed by second`, as one matrix."""
-        if self.dim != second.dim:
-            raise DimensionMismatchError("cannot compose changes of different dimension")
-        return BasisChange(mat_mul(second.rows, self.rows))
-
     def constant_rows(self) -> tuple[tuple[Fraction, ...], ...] | None:
         """The rows over Fraction, or None when an entry has a parameter."""
         try:
@@ -198,20 +192,21 @@ def apply_basis_change(t: AlgebraTable, change: BasisChange) -> AlgebraTable:
     inv = change.inverse_matrix()
     extra = sorted(change.parameters() - set(t.params))
     params = t.params + tuple(extra)
+    new = [Element(row) for row in change.rows]
     new_rows = []
-    for p in range(t.dim):
-        row = []
-        cp = Element(change.rows[p])
-        for q in range(t.dim):
-            w = t.bracket(cp, Element(change.rows[q]))
+    for cp in new:
+        row = {}
+        for q, cq in enumerate(new):
             coords: dict[int, Poly] = {}
-            for i, wi in w.nonzero.items():
+            for i, wi in t.bracket(cp, cq).nonzero.items():
                 for r, x in enumerate(inv[i]):
                     if x:
                         coords[r] = coords[r] + wi * x if r in coords else wi * x
-            row.append(Element.of(t.dim, coords))
-        new_rows.append(tuple(row))
-    return AlgebraTable(t.name, t.dim, params, t.basis, tuple(new_rows))
+            product = Element.of(t.dim, coords)
+            if product.nonzero:
+                row[q] = product
+        new_rows.append(row)
+    return AlgebraTable(t.name, t.dim, params, t.basis, new_rows)
 
 
 def _apply_constant_change(
@@ -222,15 +217,17 @@ def _apply_constant_change(
     inv_rows = [sparse(row) for row in inv]
     table = []
     for cp in new:
-        row = []
-        for cq in new:
+        row = {}
+        for q, cq in enumerate(new):
             coords: dict[int, Fraction] = {}
             for i, wi in t.sparse_bracket(cp, cq).items():
                 for r, x in inv_rows[i].items():
                     coords[r] = coords.get(r, 0) + wi * x
-            row.append(sparse_element(t.dim, coords))
-        table.append(tuple(row))
-    return AlgebraTable(t.name, t.dim, t.params, t.basis, tuple(table))
+            product = sparse_element(t.dim, coords)
+            if product.nonzero:
+                row[q] = product
+        table.append(row)
+    return AlgebraTable(t.name, t.dim, t.params, t.basis, table)
 
 
 def verify_isomorphism(t1: AlgebraTable, t2: AlgebraTable, change: BasisChange) -> Verdict:
@@ -246,15 +243,16 @@ def verify_isomorphism(t1: AlgebraTable, t2: AlgebraTable, change: BasisChange) 
         raise DimensionMismatchError(
             f"basis symbols differ: {list(moved.basis)} vs {list(t2.basis)}"
         )
-    for i in range(t1.dim):
-        for j in range(t1.dim):
-            if moved.table[i][j] != t2.table[i][j]:
-                got = moved.format_element(moved.table[i][j])
-                want = t2.format_element(t2.table[i][j])
+    zero = t2.zero()
+    for i, (got_row, want_row) in enumerate(zip(moved.rows, t2.rows)):
+        for j in sorted(got_row.keys() | want_row.keys()):
+            got, want = got_row.get(j, zero), want_row.get(j, zero)
+            if got != want:
                 return Verdict(
                     FAIL,
                     witness=(moved.basis[i], moved.basis[j]),
-                    residual=moved.table[i][j] - t2.table[i][j],
-                    detail=f"[{moved.basis[i]},{moved.basis[j]}] maps to {got}, expected {want}",
+                    residual=got - want,
+                    detail=f"[{moved.basis[i]},{moved.basis[j]}] maps to "
+                    f"{moved.format_element(got)}, expected {t2.format_element(want)}",
                 )
     return Verdict(PASS)

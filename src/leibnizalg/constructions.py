@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .core import AlgebraTable, Element, Matrix, Record, scale_table, scaled_residual, zero_element
+from .core import AlgebraTable, Element, Matrix, Record, scale_table, scaled_residual
 from .errors import AdmissibilityError, DimensionMismatchError, ParametricError
 from .scalars import ZERO, Poly, as_poly
 
@@ -138,19 +138,18 @@ def make_dzhumadildaev(
             for c, x in enumerate(row):
                 if x:
                     acted[c][i][n + r] = as_poly(x)
-    zeros = (zero_element(dim),) * mdim
-    table = tuple(tuple(Element.of(dim, e.nonzero) for e in row) + zeros for row in g.table)
-    table += tuple(tuple(Element.of(dim, v) for v in col) + zeros for col in acted)
+    rows = [{j: Element.of(dim, e.nonzero) for j, e in row.items()} for row in g.rows]
+    rows += [{i: Element.of(dim, v) for i, v in enumerate(col) if v} for col in acted]
     # packed over the action's parameters, which AlgebraTable refuses only after the check
     params = set().union(*(p.parameters() for col in acted for v in col for p in v.values()))
-    rows = scale_table(table, params)[1]
+    scaled = scale_table(rows, params)[1]
     for i, gi in enumerate(g.basis):
         for j, gj in enumerate(g.basis):
-            if any(scaled_residual(rows, x, i, j) for x in range(n, n + mdim)):
+            if any(scaled_residual(scaled, x, i, j) for x in range(n, n + mdim)):
                 raise AdmissibilityError(
                     f"action matrices are not a right module: fails at [{gi},{gj}]"
                 )
-    return AlgebraTable(f"{g.name}_plus_module", dim, (), g.basis + module, table)
+    return AlgebraTable(f"{g.name}_plus_module", dim, (), g.basis + module, rows)
 
 
 def make_direct_sum(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
@@ -168,11 +167,9 @@ def make_direct_sum(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
     basis = a.basis + tuple(rename[n] for n in b.basis)
     products: dict[tuple[str, str], dict[str, Poly]] = {}
     for t, names in ((a, a.basis), (b, tuple(rename[n] for n in b.basis))):
-        for i, bi in enumerate(names):
-            for j, bj in enumerate(names):
-                entry = t.table[i][j].nonzero
-                if entry:
-                    products[(bi, bj)] = {names[k]: c for k, c in entry.items()}
+        for bi, row in zip(names, t.rows):
+            for j, entry in row.items():
+                products[(bi, names[j])] = {names[k]: c for k, c in entry.nonzero.items()}
     return AlgebraTable.from_products(f"{a.name}_plus_{b.name}", basis, products)
 
 

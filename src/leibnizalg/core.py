@@ -1,8 +1,12 @@
 """Structure-constant tables, bracket arithmetic and the identity checks.
 
 A finite-dimensional algebra is a table of products [b_i, b_j], each an
-Element (its nonzero Poly coordinates over the basis). The bracket is
-the bilinear extension of the table. The residual
+Element (its nonzero Poly coordinates over the basis). AlgebraTable holds
+only the nonzero products, in rows: rows[i] maps j to [b_i, b_j], in
+ascending j, and entry(i, j) reads any product, zero or not. Every builder
+fills rows and every reader walks them, so work follows the stored
+products, not dim^2. The bracket is the bilinear extension of the table.
+The residual
 
     r(x, y, z) = [x, [y, z]] - [[x, y], z] + [[x, z], y]
 
@@ -18,11 +22,11 @@ module check of make_dzhumadildaev in constructions all run on it, and the
 checks visit only the triples whose residual can be nonzero (sparse_triples).
 
 Constant tables have one more representation, their sparse Fraction
-structure constants (AlgebraTable.constants), built once per table for
-sparse_bracket and the subspace work. Subspaces, ideals, quotients and
-invariant profiles are in spaces, which the AlgebraTable methods of those
-names import when first called; basis changes and their matrices are in
-basis. So `check` and `constraints` compile neither.
+structure constants (AlgebraTable.constants), keyed like rows and built
+once per table for sparse_bracket and the subspace work. Subspaces, ideals,
+quotients and invariant profiles are in spaces, which the AlgebraTable
+methods of those names import when first called; basis changes and their
+matrices are in basis. So `check` and `constraints` compile neither.
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ from .scalars import _F0, ONE, ZERO, Coeffish, Mono, Poly, as_poly, format_term,
 Matrix = tuple[tuple[Poly, ...], ...]
 # a constant vector {coordinate: nonzero value}; absent coordinates are zero
 SparseVec = dict[int, Fraction]
-# constants()[i][j] lists the nonzero (k, coefficient) pairs of [b_i, b_j]
-Constants = list[list[list[tuple[int, Fraction]]]]
-# scaled_rows()[1][i][j] lists the nonzero (k, {packed monomial: integer}) of D*[b_i, b_j]
-ScaledRows = list[list[list[tuple[int, dict[int, int]]]]]
+# constants()[i][j], for the j with [b_i, b_j] != 0, lists its nonzero (k, coefficient) pairs
+Constants = list[dict[int, list[tuple[int, Fraction]]]]
+# scaled_rows()[1][i][j], for the same j, lists the nonzero (k, {packed monomial: integer}) of D*[b_i, b_j]
+ScaledRows = list[dict[int, list[tuple[int, dict[int, int]]]]]
 Scaled = tuple[int, ScaledRows, Callable[[int], Mono]]  # (D, rows, unpack) of scale_table
 
 PASS = "PASS"
@@ -137,9 +141,6 @@ class Element(Record):
     def is_zero(self) -> bool:
         return not self.nonzero
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(self.nonzero)
-
     def is_constant(self) -> bool:
         return all(c.is_constant() for c in self.nonzero.values())
 
@@ -194,28 +195,29 @@ def sparse_element(dim: int, vec: SparseVec) -> Element:
     return Element.of(dim, {k: Poly.const(x) for k, x in vec.items()})
 
 
-def scale_table(table: Sequence[Sequence[Element]], params: Iterable[str]) -> Scaled:
-    """(D, rows, unpack): D is the lcm of every coefficient denominator in
-    the table, rows[i][j] lists the nonzero (k, {packed monomial: integer})
+def scale_table(rows: Sequence[Mapping[int, Element]], params: Iterable[str]) -> Scaled:
+    """(D, scaled, unpack): D is the lcm of every coefficient denominator in
+    the table rows (AlgebraTable.rows), scaled[i] maps each j with
+    [b_i, b_j] != 0 to the nonzero (k, {packed monomial: integer})
     coordinates of D*[b_i, b_j], and unpack maps a packed monomial of
-    rows, or of a product of two of their monomials, back to a Mono.
+    scaled, or of a product of two of their monomials, back to a Mono.
     Monomials are packed by scalars.mono_packing over params, which must
     name every parameter in the table, sized for its largest exponent."""
-    polys = [poly for row in table for entry in row for poly in entry.nonzero.values()]
+    polys = [poly for row in rows for entry in row.values() for poly in entry.nonzero.values()]
     d = lcm(*{c.denominator for poly in polys for c in poly.terms.values()})
     top = max((e for poly in polys for mono in poly.terms for _, e in mono), default=0)
     pack, unpack = mono_packing(params, top)
-    rows = [
-        [
-            [
+    scaled = [
+        {
+            j: [
                 (k, {pack(mono): c.numerator * (d // c.denominator) for mono, c in poly.terms.items()})
                 for k, poly in entry.nonzero.items()
             ]
-            for entry in row
-        ]
-        for row in table
+            for j, entry in row.items()
+        }
+        for row in rows
     ]
-    return d, rows, unpack
+    return d, scaled, unpack
 
 
 def scaled_residual(rows: ScaledRows, i: int, j: int, k: int) -> dict[int, dict[int, int]]:
@@ -229,22 +231,22 @@ def scaled_residual(rows: ScaledRows, i: int, j: int, k: int) -> dict[int, dict[
     """
     row_i = rows[i]
     acc: dict[int, dict[int, int]] = {}
-    for l, c in rows[j][k]:  # + [b_i, [b_j, b_k]]
-        for m, e in row_i[l]:
+    for l, c in rows[j].get(k, ()):  # + [b_i, [b_j, b_k]]
+        for m, e in row_i.get(l, ()):
             out = acc.setdefault(m, {})
             for m1, x in c.items():
                 for m2, y in e.items():
                     mono = m1 + m2
                     out[mono] = out.get(mono, 0) + x * y
-    for l, c in row_i[j]:  # - [[b_i, b_j], b_k]
-        for m, e in rows[l][k]:
+    for l, c in row_i.get(j, ()):  # - [[b_i, b_j], b_k]
+        for m, e in rows[l].get(k, ()):
             out = acc.setdefault(m, {})
             for m1, x in c.items():
                 for m2, y in e.items():
                     mono = m1 + m2
                     out[mono] = out.get(mono, 0) - x * y
-    for l, c in row_i[k]:  # + [[b_i, b_k], b_j]
-        for m, e in rows[l][j]:
+    for l, c in row_i.get(k, ()):  # + [[b_i, b_k], b_j]
+        for m, e in rows[l].get(j, ()):
             out = acc.setdefault(m, {})
             for m1, x in c.items():
                 for m2, y in e.items():
@@ -254,26 +256,35 @@ def scaled_residual(rows: ScaledRows, i: int, j: int, k: int) -> dict[int, dict[
     return {m: terms for m, terms in nonzero if terms}
 
 
-def sparse_triples(rows: Sequence[Sequence[list]]) -> Iterator[tuple[int, int, int]]:
+def sparse_triples(rows: Sequence[Mapping[int, list]]) -> Iterator[tuple[int, int, int]]:
     """The basis triples (i, j, k), in lexicographic order, at which
-    [b_j, b_k], [b_i, b_k] or some [b_l, b_k] with b_l in the support of
-    [b_i, b_j] is nonzero.
+    [b_i, b_k], [b_j, b_k] or some [b_l, b_k] with b_l in the support of
+    [b_i, b_j] is nonzero, for the i with [b_i, L] != 0.
 
-    rows[i][j] lists the nonzero (l, coefficient) coordinates of [b_i, b_j],
-    so the k visited are the union of the nonzero columns of rows j, i and
-    each such l, ascending. A residual (or, on an antisymmetric table, a
-    Jacobi sum) at a skipped triple is a sum of zero products.
+    rows[i] maps each j with [b_i, b_j] != 0 to its nonzero (l, coefficient)
+    coordinates, so the k visited are the union of the columns of rows i, j
+    and each such l, ascending. A residual (or, on an antisymmetric table, a
+    Jacobi sum) at a skipped triple is a sum of zero products; when
+    [b_i, L] = 0, every term of r(b_i, ., .) is.
     """
     every = range(len(rows))
-    cols = [{k for k, entry in enumerate(row) if entry} for row in rows]
-    for i in every:
-        row_i, cols_i = rows[i], cols[i]
+    cols = [set(row) for row in rows]
+    for i, row_i in enumerate(rows):
+        if not row_i:
+            continue
+        cols_i = cols[i]
         for j in every:
             ks = cols[j] | cols_i
-            for l, _ in row_i[j]:
+            for l, _ in row_i.get(j, ()):
                 ks |= cols[l]
             for k in sorted(ks):
                 yield i, j, k
+
+
+def symmetric_pairs(rows: Sequence[Mapping[int, object]]) -> list[tuple[int, int]]:
+    """The pairs (i, j) with i <= j, in lexicographic order, at which
+    [b_i, b_j] or [b_j, b_i] is stored in rows (rows[i] keyed by j)."""
+    return sorted({(i, j) if i <= j else (j, i) for i, row in enumerate(rows) for j in row})
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +309,15 @@ class Verdict(Record):
 class AlgebraTable(Record):
     """A structure-constant table over named basis symbols.
 
-    table[i][j] is the product [b_i, b_j]. Equality compares dimension,
-    parameters, basis names and every product; the display name is ignored.
-    _constants is built on first use by constants() and lives and dies with
-    the table.
+    rows[i] maps each j with a nonzero product [b_i, b_j] to that product,
+    in ascending j; every other product is zero, and entry(i, j) reads any
+    of them. Equality compares dimension, parameters, basis names and every
+    product; the display name is ignored. _constants is built on first use
+    by constants() and lives and dies with the table.
     """
 
-    __slots__ = ("name", "dim", "params", "basis", "table", "_constants")
-    _compare = ("dim", "params", "basis", "table")
+    __slots__ = ("name", "dim", "params", "basis", "rows", "_constants")
+    _compare = ("dim", "params", "basis", "rows")
 
     def __init__(
         self,
@@ -313,8 +325,9 @@ class AlgebraTable(Record):
         dim: int,
         params: tuple[str, ...],
         basis: tuple[str, ...],
-        table: tuple[tuple[Element, ...], ...],
+        rows: Sequence[Mapping[int, Element]],
     ):
+        """rows[i] maps j to [b_i, b_j]; zero products are dropped and columns sorted."""
         if dim != len(basis):
             raise DimensionMismatchError(f"dim {dim} but {len(basis)} basis symbols")
         if len(set(basis)) != len(basis):
@@ -325,14 +338,21 @@ class AlgebraTable(Record):
         if clash:
             raise DimensionMismatchError(f"parameters clash with basis symbols: {sorted(clash)}")
         allowed = set(params)
-        if len(table) != dim:
+        if len(rows) != dim:
             raise DimensionMismatchError("table has wrong number of rows")
-        for row in table:
-            if len(row) != dim:
-                raise DimensionMismatchError("table has wrong number of columns")
-            for entry in row:
+        columns = range(dim)
+        stored = []
+        for row in rows:
+            kept = {}
+            for j in sorted(row):
+                entry = row[j]
+                if j not in columns:
+                    raise DimensionMismatchError(f"table has no column {j!r}")
                 if entry.dim != dim:
                     raise DimensionMismatchError("table entry has wrong dimension")
+                if not entry.nonzero:
+                    continue
+                kept[j] = entry
                 for poly in entry.nonzero.values():
                     for mono in poly.terms:
                         if mono and not allowed.issuperset(name for name, _ in mono):
@@ -340,7 +360,11 @@ class AlgebraTable(Record):
                             raise DimensionMismatchError(
                                 f"undeclared parameters in table entry: {sorted(extra)}"
                             )
-        Record.__init__(self, name, dim, params, basis, table, None)
+            stored.append(kept)
+        Record.__init__(self, name, dim, params, basis, tuple(stored), None)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.params, self.basis, tuple(frozenset(row.items()) for row in self.rows)))
 
     @classmethod
     def from_products(
@@ -354,7 +378,7 @@ class AlgebraTable(Record):
         basis = tuple(basis)
         index = {b: i for i, b in enumerate(basis)}
         dim = len(basis)
-        rows: list[list[Element]] = [[zero_element(dim)] * dim for _ in range(dim)]
+        rows: list[dict[int, Element]] = [{} for _ in basis]
         for (left, right), coords in products.items():
             for symbol in (left, right):
                 if symbol not in index:
@@ -364,7 +388,7 @@ class AlgebraTable(Record):
                     raise DimensionMismatchError(f"unknown basis symbol {symbol!r} in [{left},{right}]")
             vec = {index[symbol]: as_poly(coeff) for symbol, coeff in coords.items()}
             rows[index[left]][index[right]] = Element.of(dim, vec)
-        return cls(name, dim, tuple(params), basis, tuple(tuple(r) for r in rows))
+        return cls(name, dim, tuple(params), basis, rows)
 
     # -- element plumbing ---------------------------------------------------
 
@@ -385,7 +409,8 @@ class AlgebraTable(Record):
         return zero_element(self.dim)
 
     def entry(self, i: int, j: int) -> Element:
-        return self.table[i][j]
+        """The product [b_i, b_j], zero or not."""
+        return self.rows[i].get(j) or zero_element(self.dim)
 
     def format_element(self, el: Element) -> str:
         return format_element(el, self.basis)
@@ -393,7 +418,7 @@ class AlgebraTable(Record):
     def is_parametric(self) -> bool:
         # validation admits only declared parameters, so without any the table is constant
         return bool(self.params) and any(
-            not poly.is_constant() for row in self.table for entry in row for poly in entry.nonzero.values()
+            not poly.is_constant() for row in self.rows for entry in row.values() for poly in entry.nonzero.values()
         )
 
     def evaluate(self, assignment: Mapping[str, Fraction | int]) -> "AlgebraTable":
@@ -401,14 +426,14 @@ class AlgebraTable(Record):
         for p in self.params:
             if p not in assignment:
                 raise MissingParameterError(f"no value for parameter {p}")
-        new_rows = tuple(
-            tuple(
-                Element.of(self.dim, {k: Poly.const(p.evaluate(assignment)) for k, p in entry.nonzero.items()})
-                for entry in row
-            )
-            for row in self.table
-        )
-        return AlgebraTable(self.name, self.dim, (), self.basis, new_rows)
+        rows = [
+            {
+                j: Element.of(self.dim, {k: Poly.const(p.evaluate(assignment)) for k, p in entry.nonzero.items()})
+                for j, entry in row.items()
+            }
+            for row in self.rows
+        ]
+        return AlgebraTable(self.name, self.dim, (), self.basis, rows)
 
     # -- bracket and residuals ----------------------------------------------
 
@@ -418,18 +443,18 @@ class AlgebraTable(Record):
             raise DimensionMismatchError("element dimension does not match the table")
         acc: dict[int, Poly] = {}
         for i, cu in u.nonzero.items():
-            row_i = self.table[i]
+            row_i = self.rows[i]
             for j, cv in v.nonzero.items():
-                entry = row_i[j].nonzero
+                entry = row_i.get(j)
                 if entry:
                     scale = cu * cv
-                    for k, ck in entry.items():
+                    for k, ck in entry.nonzero.items():
                         acc[k] = acc[k] + scale * ck if k in acc else scale * ck
         return Element.of(self.dim, acc)
 
     def scaled_rows(self) -> Scaled:
         """scale_table over this table and its declared parameters, built afresh on every call."""
-        return scale_table(self.table, self.params)
+        return scale_table(self.rows, self.params)
 
     def residual(self, i: int, j: int, k: int) -> Element:
         """r(b_i, b_j, b_k) = [b_i,[b_j,b_k]] - [[b_i,b_j],b_k] + [[b_i,b_k],b_j]."""
@@ -442,14 +467,15 @@ class AlgebraTable(Record):
     def constants(self) -> Constants:
         """Sparse structure constants, built on the first call and kept.
 
-        constants()[i][j] lists the nonzero (k, c) with [b_i, b_j] having
-        coefficient c at b_k. Raises ParametricError for a parametric table.
+        constants()[i] maps each j with [b_i, b_j] != 0 to the nonzero
+        (k, c) with [b_i, b_j] having coefficient c at b_k. Raises
+        ParametricError for a parametric table.
         """
         if self._constants is None:
             self._require_constant()
             built = [
-                [[(k, c.constant_value()) for k, c in entry.nonzero.items()] for entry in row]
-                for row in self.table
+                {j: [(k, c.constant_value()) for k, c in entry.nonzero.items()] for j, entry in row.items()}
+                for row in self.rows
             ]
             _set(self, "_constants", built)
         return self._constants
@@ -468,7 +494,7 @@ class AlgebraTable(Record):
         for i, a in u.items():
             row_i = rows[i]
             for j, b in v.items():
-                entry = row_i[j]
+                entry = row_i.get(j)
                 if entry:
                     s = a * b
                     for k, c in entry:
@@ -494,25 +520,15 @@ class AlgebraTable(Record):
     def check_lie(self) -> Verdict:
         """PASS iff the table is antisymmetric and satisfies Jacobi. Constants only."""
         self._require_constant()
-        table = self.table
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if table[i][j] != -table[j][i]:
-                    return Verdict(
-                        FAIL,
-                        witness=(self.basis[i], self.basis[j]),
-                        residual=table[i][j] + table[j][i],
-                        detail="antisymmetry fails",
-                    )
+        rows, zero = self.rows, self.zero()
+        for i, j in symmetric_pairs(rows):
+            ij, ji = rows[i].get(j, zero), rows[j].get(i, zero)
+            if ij != -ji:
+                return Verdict(FAIL, (self.basis[i], self.basis[j]), ij + ji, "antisymmetry fails")
         # on an antisymmetric table the Jacobi sum [[x,y],z] + [[y,z],x] + [[z,x],y] is -r(x, y, z)
         return self._residual_verdict("Jacobi identity fails", negate=True)
 
     # -- subspaces: the bodies live in spaces, imported on first call ---------
-
-    def right_mult_matrix(self, a: Element) -> Matrix:
-        """Matrix of v -> [v, a] on coordinate columns; column j is [b_j, a]."""
-        from . import spaces
-        return spaces.right_mult_matrix(self, a)
 
     def product_span(self, left: Subspace, right: Subspace) -> Subspace:
         """span{ [u, v] : u in left, v in right }."""

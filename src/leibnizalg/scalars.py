@@ -160,17 +160,6 @@ class Poly:
         self._hash: int | None = None
 
     @classmethod
-    def from_terms(cls, items: Iterable[tuple[Mono, Fraction]]) -> "Poly":
-        acc: dict[Mono, Fraction] = {}
-        for mono, coeff in items:
-            c = acc.get(mono, _F0) + coeff
-            if c:
-                acc[mono] = c
-            else:
-                acc.pop(mono, None)
-        return cls(acc)
-
-    @classmethod
     def const(cls, value: Fraction | int) -> "Poly":
         v = Fraction(value)
         return cls({UNIT_MONO: v}) if v else cls({})

@@ -15,7 +15,7 @@ from bisect import insort
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
-from .core import AlgebraTable, Element, Matrix, Record, SparseVec, element_from, sparse, sparse_element
+from .core import AlgebraTable, Element, Record, SparseVec, element_from, sparse, sparse_element, symmetric_pairs
 from .errors import DimensionMismatchError, NotAnIdealError, ParametricError
 from .scalars import _F0, _F1, ZERO
 
@@ -135,9 +135,6 @@ class Subspace(Record):
     def contains(self, coords: Sequence[Fraction]) -> bool:
         return not any(self.reduce(coords))
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
-
     def as_elements(self) -> tuple[Element, ...]:
         return tuple(element_from(r) for r in self.rows)
 
@@ -235,12 +232,6 @@ def compare_profiles(t1: AlgebraTable, t2: AlgebraTable) -> ProfileReport:
 # the bodies of AlgebraTable's subspace methods; each takes the table first
 
 
-def right_mult_matrix(t: AlgebraTable, a: Element) -> Matrix:
-    """Matrix of v -> [v, a] on coordinate columns; column j is [b_j, a]."""
-    images = [t.bracket(t.basis_element(j), a) for j in range(t.dim)]
-    return tuple(tuple(images[j].nonzero.get(i, ZERO) for j in range(t.dim)) for i in range(t.dim))
-
-
 def product_span(t: AlgebraTable, left: Subspace, right: Subspace) -> Subspace:
     """span{ [u, v] : u in left, v in right }, computed on echelon rows."""
     ech = Echelon(t.dim)
@@ -285,14 +276,12 @@ def squares_ideal(t: AlgebraTable) -> Subspace:
     """Ideal generated by all squares, seeded with the polarized products."""
     rows = t.constants()
     seed = Echelon(t.dim)
-    for i in range(t.dim):
-        seed.add(rows[i][i])
-    for i in range(t.dim):
-        for j in range(i + 1, t.dim):
-            acc = dict(rows[i][j])
-            for k, c in rows[j][i]:
+    for i, j in symmetric_pairs(rows):
+        acc = dict(rows[i].get(j, ()))
+        if i != j:
+            for k, c in rows[j].get(i, ()):
                 acc[k] = acc.get(k, _F0) + c
-            seed.add({k: c for k, c in acc.items() if c})
+        seed.add({k: c for k, c in acc.items() if c})
     return t.ideal_closure(seed.subspace())
 
 
@@ -321,31 +310,32 @@ def quotient_by(t: AlgebraTable, sub: Subspace) -> tuple[AlgebraTable, QuotientM
     rows = t.constants()
     # a reduced vector is zero at every pivot, so its support lies in kept
     new_index = {i: r for r, i in enumerate(kept)}
-    table = tuple(
-        tuple(
-            sparse_element(len(kept), {new_index[k]: x for k, x in ech.reduce(rows[p][q]).items()})
-            for q in kept
-        )
+    table = [
+        {
+            new_index[q]: sparse_element(len(kept), {new_index[k]: x for k, x in ech.reduce(entry).items()})
+            for q, entry in rows[p].items()
+            if q in new_index
+        }
         for p in kept
-    )
+    ]
     quotient = AlgebraTable(f"{t.name}_mod_I", len(kept), (), new_basis, table)
     return quotient, proj
 
 
 def center_dim(t: AlgebraTable, side: str) -> int:
     """dim{ z : [z, L] = 0 } (left) or dim{ z : [L, z] = 0 } (right)."""
-    rows = t.constants()
     # constraint rows in the unknowns z_0..z_{dim-1}: for each companion
     # b_j and each output coordinate k, sum_i z_i coeff_k([b_i, b_j]) = 0
-    ech = Echelon(t.dim)
-    for j in range(t.dim):
-        per_coord: dict[int, SparseVec] = {}
-        for i in range(t.dim):
-            entry = rows[i][j] if side == "left" else rows[j][i]
+    # (left) or sum_i z_i coeff_k([b_j, b_i]) = 0 (right)
+    per_coord: dict[tuple[int, int], SparseVec] = {}
+    for p, row in enumerate(t.constants()):
+        for q, entry in row.items():
+            i, j = (p, q) if side == "left" else (q, p)
             for k, c in entry:
-                per_coord.setdefault(k, {})[i] = c
-        for vec in per_coord.values():
-            ech.add(vec)
+                per_coord.setdefault((j, k), {})[i] = c
+    ech = Echelon(t.dim)
+    for vec in per_coord.values():
+        ech.add(vec)
     return t.dim - ech.rank
 
 

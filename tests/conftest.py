@@ -146,7 +146,7 @@ def rational_polys(draw, params: tuple[str, ...]) -> L.Poly:
     with denominators up to 12, each exponent up to 2."""
     exponents = st.lists(st.integers(min_value=0, max_value=2), min_size=len(params), max_size=len(params))
     terms = draw(st.lists(st.tuples(exponents, wide_rationals), min_size=1, max_size=4))
-    p = L.Poly.from_terms(
+    p = poly_from_terms(
         (tuple((n, e) for n, e in zip(params, exps) if e), c) for exps, c in terms
     )
     return p if p else L.Poly.const(draw(wide_rationals))
@@ -183,7 +183,7 @@ def ref_bracket_basis_left(t: L.AlgebraTable, i: int, w: L.Element) -> L.Element
     for l, c in enumerate(w.coords):
         if not c:
             continue
-        entry = t.table[i][l]
+        entry = t.entry(i, l)
         for k, ck in enumerate(entry.coords):
             if ck:
                 acc[k] = acc[k] + c * ck
@@ -196,7 +196,7 @@ def ref_bracket_basis_right(t: L.AlgebraTable, w: L.Element, j: int) -> L.Elemen
     for l, c in enumerate(w.coords):
         if not c:
             continue
-        entry = t.table[l][j]
+        entry = t.entry(l, j)
         for k, ck in enumerate(entry.coords):
             if ck:
                 acc[k] = acc[k] + c * ck
@@ -205,10 +205,37 @@ def ref_bracket_basis_right(t: L.AlgebraTable, w: L.Element, j: int) -> L.Elemen
 
 def ref_residual(t: L.AlgebraTable, i: int, j: int, k: int) -> L.Element:
     """r(b_i, b_j, b_k) = [b_i,[b_j,b_k]] - [[b_i,b_j],b_k] + [[b_i,b_k],b_j]."""
-    t1 = ref_bracket_basis_left(t, i, t.table[j][k])
-    t2 = ref_bracket_basis_right(t, t.table[i][j], k)
-    t3 = ref_bracket_basis_right(t, t.table[i][k], j)
+    t1 = ref_bracket_basis_left(t, i, t.entry(j, k))
+    t2 = ref_bracket_basis_right(t, t.entry(i, j), k)
+    t3 = ref_bracket_basis_right(t, t.entry(i, k), j)
     return t1 - t2 + t3
+
+
+def dense_constants(t: L.AlgebraTable) -> list:
+    """rows[i][j] lists the nonzero (k, c) of [b_i, b_j], for every i and j:
+    the dense structure constants, read through entry(i, j)."""
+    return [
+        [[(k, c.constant_value()) for k, c in t.entry(i, j).nonzero.items()] for j in range(t.dim)]
+        for i in range(t.dim)
+    ]
+
+
+def right_mult_matrix(t: L.AlgebraTable, a: L.Element):
+    """Matrix of v -> [v, a] on coordinate columns; column j is [b_j, a]."""
+    images = [t.bracket(t.basis_element(j), a) for j in range(t.dim)]
+    return tuple(tuple(images[j].nonzero.get(i, L.ZERO) for j in range(t.dim)) for i in range(t.dim))
+
+
+def poly_from_terms(items) -> L.Poly:
+    """The Poly with the sum of these (monomial, coefficient) terms."""
+    acc: dict = {}
+    for mono, coeff in items:
+        c = acc.get(mono, 0) + coeff
+        if c:
+            acc[mono] = c
+        else:
+            acc.pop(mono, None)
+    return L.Poly(acc)
 
 
 # ---------------------------------------------------------------------------

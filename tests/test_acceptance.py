@@ -139,7 +139,7 @@ def test_criterion_05_basis_change_removes_b():
         moved = L.apply_basis_change(pre, change)
         y2 = moved.index("y2")
         for other in ("e", "h", "y2"):
-            entry = moved.table[y2][moved.index(other)]
+            entry = moved.entry(y2, moved.index(other))
             if not entry.is_zero():
                 return False, f"[y2',{other}] = {moved.format_element(entry)}"
         return True, "[y2',e] = [y2',h] = [y2',y2'] = 0 as identities in b"

@@ -100,8 +100,15 @@ def test_serialize_zero_table_is_header_only():
 
 def test_zero_algebra_round_trips():
     t = L.parse_algebra("algebra q_mod_I\ndim 0\nbasis \n")
-    assert (t.dim, t.basis, t.table) == (0, (), ())
+    assert (t.dim, t.basis, t.rows) == (0, (), ())
     assert L.serialize_algebra(t) == "algebra q_mod_I\ndim 0\nbasis \n"
+
+
+def test_explicit_zero_products_store_nothing():
+    t = L.parse_algebra("algebra z\ndim 2\nbasis a b\n[b,a] = b\n[a,b] = 0\n[a,a] = a - a\n")
+    assert t.rows == ({}, {0: t.basis_element("b")})
+    assert t.entry(0, 1).is_zero() and t.entry(1, 0) == t.basis_element("b")
+    assert L.serialize_algebra(t) == "algebra z\ndim 2\nbasis a b\n[b,a] = b\n"
 
 
 def test_round_trip_fixtures():

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leibnizalg as L
-from leibnizalg import cli, scalars
+from leibnizalg import algfile, cli, scalars
+
+from conftest import constant_fixture_tables
 
 CHANGE_231_TO_101 = """\
 change collapse
@@ -369,6 +372,88 @@ def test_quotient_by_all_of_l_reads_back(capsys, tmp_path):
     for command in ("check", "ideal", "profile"):
         code, _, err = run(capsys, command, quotient)
         assert (code, err) == (0, ""), command
+
+
+# one argv per constructor in the registry; test_every_constructor_is_read_back checks the coverage
+REGISTRY_ARGS = [
+    ("sl2",),
+    ("r2",),
+    ("abelian", "--dim", "3"),
+    ("dzhumadildaev", "--m", "2"),
+    ("module-ext", "--m", "2", "--a", "1/2"),
+    ("generic", "--m", "1", "--sl2-r-products"),
+    ("prefamily",),
+    ("Lfamily", "--l", "1", "--mu", "0", "--a", "1"),
+    ("direct-sum", "sl2", "r2"),
+]
+
+
+PARAMETRIC_REFUSAL = (
+    "table has parametric entries; use constraint extraction (extract_constraints / the constraints command) instead"
+)
+
+
+def assert_reads_back(capsys, path):
+    """check (both modes), ideal and profile on a table file answer 0 or 1.
+    A parametric table is refused by each of them as parametric input
+    (exit 2, the ParametricError text, never a parse error) and is read by
+    constraints instead."""
+    with open(path, encoding="utf-8") as fh:
+        parametric = L.parse_algebra(fh.read()).is_parametric()
+    for argv in (("check", path), ("check", path, "--mode", "lie"), ("ideal", path), ("profile", path)):
+        code, _, err = run(capsys, *argv)
+        if parametric:
+            assert (code, err) == (2, f"error: {PARAMETRIC_REFUSAL}\n"), argv
+        else:
+            assert code in (0, 1) and err == "", (argv, err)
+    if parametric:
+        code, _, err = run(capsys, "constraints", path)
+        assert (code, err) == (0, "")
+
+
+def test_every_constructor_is_read_back(capsys, tmp_path):
+    assert sorted(args[0] for args in REGISTRY_ARGS) == sorted(cli._CONSTRUCTORS)
+    for n, args in enumerate(REGISTRY_ARGS):
+        assert_reads_back(capsys, construct(capsys, tmp_path, *args, filename=f"c{n}.alg"))
+
+
+def unitriangular_change(rng, basis):
+    """A change document whose rows are an upper triangular matrix with a
+    nonzero diagonal (so invertible): a few rows scaled and sheared."""
+    lines = [f"change shear\ndim {len(basis)}\nbasis {' '.join(basis)}\n"]
+    for i in sorted(rng.sample(range(len(basis)), min(3, len(basis)))):
+        terms = [f"{rng.choice(('1', '2', '-1/2'))}*{basis[i]}"]
+        terms += [f"{rng.choice((1, -3, '2/3'))}*{b}" for b in basis[i + 1:i + 3]]
+        lines.append(f"new {basis[i]} = {' + '.join(terms)}\n")
+    return "".join(lines)
+
+
+def test_quotient_and_change_basis_outputs_are_read_back(capsys, tmp_path):
+    rng = random.Random(3)
+    for n, t in enumerate(constant_fixture_tables()):
+        path = write(tmp_path, f"t{n}.alg", L.serialize_algebra(t))
+        chg = write(tmp_path, f"t{n}.chg", unitriangular_change(rng, t.basis))
+        for argv in (("quotient", path), ("change-basis", path, chg)):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert_reads_back(capsys, write(tmp_path, "out.alg", out))
+
+
+def test_constraint_lines_parse_back(capsys, tmp_path):
+    # every printed constraint reads back through parse_scalar as the Poly it came from
+    count = 0
+    for args in ("generic --m 2 --sl2-r-products --sl2-defects", "generic --m 6 --sl2-r-products --sl2-defects",
+                 "prefamily"):
+        path = construct(capsys, tmp_path, *args.split())
+        code, out, _ = run(capsys, "constraints", path)
+        with open(path, encoding="utf-8") as fh:
+            t = L.parse_algebra(fh.read())
+        polys = list(L.extract_constraints(t))
+        assert code == 0 and len(out.splitlines()) == len(polys)
+        for line, poly in zip(out.splitlines(), polys):
+            assert algfile.parse_scalar(line, t.params) == poly, line
+        count += len(polys)
+    assert count == 749
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")

@@ -9,12 +9,14 @@ read an element through its dense coords view.
 import hashlib
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import leibnizalg as L
+from leibnizalg import cli
 from leibnizalg.basis import mat_from_rows, mat_mul
 from leibnizalg.scalars import Poly, _join_terms, format_term
 
@@ -36,7 +38,7 @@ def ref_serialize_algebra(t):
     lines.append("basis " + " ".join(t.basis))
     for i in range(t.dim):
         for j in range(t.dim):
-            entry = t.table[i][j]
+            entry = t.entry(i, j)
             if any(entry.coords):
                 lines.append(f"[{t.basis[i]},{t.basis[j]}] = {ref_format_element(entry, t.basis)}")
     return "\n".join(lines) + "\n"
@@ -44,8 +46,12 @@ def ref_serialize_algebra(t):
 
 def ref_constants(t):
     return [
-        [[(k, c.constant_value()) for k, c in enumerate(entry.coords) if c] for entry in row]
-        for row in t.table
+        {
+            j: [(k, c.constant_value()) for k, c in enumerate(t.entry(i, j).coords) if c]
+            for j in range(t.dim)
+            if any(t.entry(i, j).coords)
+        }
+        for i in range(t.dim)
     ]
 
 
@@ -58,7 +64,7 @@ def ref_module_failure(g, action):
         for j, gj in enumerate(g.basis):
             expected = mat_sub(mat_mul(action[gj], action[gi]), mat_mul(action[gi], action[gj]))
             combo = None
-            for c, gc in zip(g.table[i][j].coords, g.basis):
+            for c, gc in zip(g.entry(i, j).coords, g.basis):
                 if c:
                     scaled = tuple(tuple(c * x for x in row) for row in action[gc])
                     combo = scaled if combo is None else tuple(
@@ -173,8 +179,12 @@ def check_against_references(t):
     text = L.serialize_algebra(t)
     assert text == ref_serialize_algebra(t)
     assert L.parse_algebra(text) == t
-    for row in t.table:
-        for entry in row:
+    for row in t.rows:
+        # only the nonzero products are stored, in ascending column order
+        assert list(row) == sorted(row) and all(entry.nonzero for entry in row.values())
+    for i in range(t.dim):
+        for j in range(t.dim):
+            entry = t.entry(i, j)
             assert L.format_element(entry, t.basis) == ref_format_element(entry, t.basis)
     if not t.is_parametric():
         assert t.constants() == ref_constants(t)
@@ -218,3 +228,19 @@ def test_sparse_and_dense_built_elements_agree(case):
     basis = tuple(f"b{i}" for i in range(dim))
     assert L.format_element(sparse, basis) == ref_format_element(dense, basis)
     assert sparse - dense == L.zero_element(dim) and (sparse + dense) == 2 * dense
+
+
+def test_large_zero_table_costs_what_it_stores(capsys):
+    # the dim x dim grid of zero products this table held before peaked near 160 MB here
+    assert cli.main(["construct", "abelian", "--dim", "1500"]) == 0
+    text = capsys.readouterr().out
+    assert len(text.encode()) == 7925
+    tracemalloc.start()
+    try:
+        t = L.parse_algebra(text)
+        verdict = t.check_leibniz()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed and t.rows == ({},) * 1500
+    assert peak < 5_000_000, peak
