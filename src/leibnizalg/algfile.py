@@ -28,9 +28,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .core import AlgebraTable, Element, Matrix, Record, format_element, zero_element
-from .errors import DimensionMismatchError, ParseError
-from .scalars import ONE, ZERO, Poly, mono_mul
+from .core import AlgebraTable, Element, Record, format_element, zero_element
+from .errors import ParseError
+from .scalars import ZERO, Poly, mono_mul
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RATIONAL_RE = re.compile(r"\d+(?:/\d+)?\Z")
@@ -239,26 +239,10 @@ def serialize_algebra(t: AlgebraTable) -> str:
 
 
 class ChangeDocument(Record):
-    """A parsed change-of-basis file: new basis rows in old coordinates."""
+    """A parsed change-of-basis file: the named new basis vectors in old
+    coordinates (BasisChange.from_assignments builds the change)."""
 
     __slots__ = ("name", "dim", "params", "basis", "assignments")
-
-    def matrix(self) -> Matrix:
-        """Rows of the change: assignment row if given, identity otherwise."""
-        rows = []
-        for i, symbol in enumerate(self.basis):
-            if symbol in self.assignments:
-                rows.append(self.assignments[symbol].coords)
-            else:
-                rows.append(tuple(ONE if j == i else ZERO for j in range(self.dim)))
-        return tuple(rows)
-
-    def matrix_for(self, t: AlgebraTable) -> Matrix:
-        if self.basis != t.basis:
-            raise DimensionMismatchError(
-                f"change document basis {list(self.basis)} does not match table basis {list(t.basis)}"
-            )
-        return self.matrix()
 
 
 def parse_change(text: str) -> ChangeDocument:

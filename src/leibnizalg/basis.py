@@ -1,13 +1,15 @@
 """Basis changes, isomorphism verification and the matrices they need.
 
-A BasisChange holds the new basis as rows in old coordinates. A constant
-change is inverted by Gauss-Jordan elimination, and on a constant table it
-is applied through the table's sparse constants without any Poly
-arithmetic. Parametric rows are allowed only while the determinant stays a
-nonzero rational constant (unipotent changes and the like); then the
-inverse is the adjugate over that constant and every transformed entry
-stays polynomial. Products transform by w = [c_p, c_q] in old coordinates
-followed by coords_new = w . C^-1.
+A BasisChange holds the new basis as rows C in old coordinates. A
+constant change is inverted by Gauss-Jordan elimination. Parametric rows
+are allowed only while the determinant stays a nonzero rational constant
+(unipotent changes and the like); then the inverse is the adjugate over
+that constant and every transformed entry stays polynomial. There is one
+transform for every table and change: each stored product [b_i, b_j]
+adds C[p][i]*C[q][j]*[b_i, b_j] to [c_p, c_q] in old coordinates, and
+each nonzero sum w is rewritten as w . C^-1. It runs over Fraction for
+a constant table and change, reading the table's sparse constants, and
+over Poly otherwise, so its work follows the stored products.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .core import FAIL, PASS, AlgebraTable, Element, Matrix, Record, Verdict, sparse, sparse_element
+from .core import FAIL, PASS, AlgebraTable, Element, Matrix, Record, Verdict, sparse
 from .errors import BasisChangeError, DimensionMismatchError, MissingParameterError, ParametricError
 from .scalars import _F0, _F1, ONE, ZERO, Coeffish, Poly, as_poly
 
@@ -152,82 +154,75 @@ class BasisChange(Record):
 
         A parametric change needs a nonzero rational constant determinant.
         """
-        rows = self.constant_rows()
-        if rows is not None:
-            return mat_from_rows(_invert(rows))
-        det, adj = det_and_adjugate(self.rows)
-        if not det.is_constant():
-            raise BasisChangeError(
-                f"determinant {det} is not constant; only constant-determinant "
-                "changes are invertible here"
-            )
-        value = det.constant_value()
-        if value == 0:
+        return mat_from_rows(_matrices(self)[1])
+
+
+def _matrices(change: BasisChange) -> tuple[Sequence[Sequence[Coeffish]], Sequence[Sequence[Coeffish]]]:
+    """(C, C^-1), over Fraction for a constant change and over Poly otherwise."""
+    rows = change.constant_rows()
+    if rows is not None:
+        inv = inverse_constant(rows)
+        if inv is None:
             raise BasisChangeError(_SINGULAR)
-        inv = _F1 / value
-        return tuple(tuple(inv * entry for entry in row) for row in adj)
-
-
-def _invert(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    inv = inverse_constant(rows)
-    if inv is None:
+        return rows, inv
+    det, adj = det_and_adjugate(change.rows)
+    if not det.is_constant():
+        raise BasisChangeError(
+            f"determinant {det} is not constant; only constant-determinant "
+            "changes are invertible here"
+        )
+    value = det.constant_value()
+    if value == 0:
         raise BasisChangeError(_SINGULAR)
-    return inv
+    inv = _F1 / value
+    return change.rows, tuple(tuple(inv * entry for entry in row) for row in adj)
 
 
 def apply_basis_change(t: AlgebraTable, change: BasisChange) -> AlgebraTable:
     """The same algebra written on the new basis rows.
 
-    new_table[p][q] = [c_p, c_q] computed in t, re-expressed through the
-    inverse change. Basis symbols keep their names; they now denote the
-    new vectors.
+    [c_p, c_q] is summed in old coordinates from the stored products
+    alone: each [b_i, b_j] adds C[p][i]*C[q][j]*[b_i, b_j] for the p and
+    q with C[p][i] and C[q][j] nonzero. Each nonzero sum w becomes the
+    product [c_p, c_q] with coordinates w . C^-1. Basis symbols keep
+    their names; they now denote the new vectors.
     """
     if change.dim != t.dim:
         raise DimensionMismatchError(
             f"change has dimension {change.dim}, table has {t.dim}"
         )
-    rows = change.constant_rows()
-    if rows is not None and not t.is_parametric():
-        return _apply_constant_change(t, rows, _invert(rows))
-    inv = change.inverse_matrix()
+    rows, inv = _matrices(change)
+    products = (
+        [{j: entry.nonzero.items() for j, entry in row.items()} for row in t.rows]
+        if t.is_parametric()
+        else t.constants()
+    )
+    # uses[i] lists the (p, C[p][i]) with C[p][i] != 0: the new vectors that involve b_i
+    uses: list[list] = [[] for _ in rows]
+    for p, row in enumerate(rows):
+        for i, x in enumerate(row):
+            if x:
+                uses[i].append((p, x))
+    inv_rows = [[(r, x) for r, x in enumerate(row) if x] for row in inv]
+    old: dict[tuple[int, int], dict] = {}
+    for i, row in enumerate(products):
+        for j, entry in row.items():
+            for p, x in uses[i]:
+                for q, y in uses[j]:
+                    w = old.setdefault((p, q), {})
+                    s = x * y
+                    for k, c in entry:
+                        w[k] = w[k] + s * c if k in w else s * c
+    new_rows: list[dict[int, Element]] = [{} for _ in rows]
+    for (p, q), w in old.items():
+        coords: dict = {}
+        for k, c in w.items():
+            if c:
+                for r, x in inv_rows[k]:
+                    coords[r] = coords[r] + c * x if r in coords else c * x
+        new_rows[p][q] = Element.of(t.dim, {r: as_poly(x) for r, x in coords.items() if x})
     extra = sorted(change.parameters() - set(t.params))
-    params = t.params + tuple(extra)
-    new = [Element(row) for row in change.rows]
-    new_rows = []
-    for cp in new:
-        row = {}
-        for q, cq in enumerate(new):
-            coords: dict[int, Poly] = {}
-            for i, wi in t.bracket(cp, cq).nonzero.items():
-                for r, x in enumerate(inv[i]):
-                    if x:
-                        coords[r] = coords[r] + wi * x if r in coords else wi * x
-            product = Element.of(t.dim, coords)
-            if product.nonzero:
-                row[q] = product
-        new_rows.append(row)
-    return AlgebraTable(t.name, t.dim, params, t.basis, new_rows)
-
-
-def _apply_constant_change(
-    t: AlgebraTable, rows: Sequence[Sequence[Fraction]], inv: Sequence[Sequence[Fraction]]
-) -> AlgebraTable:
-    """apply_basis_change for a constant table and change, on Fraction rows."""
-    new = [sparse(row) for row in rows]
-    inv_rows = [sparse(row) for row in inv]
-    table = []
-    for cp in new:
-        row = {}
-        for q, cq in enumerate(new):
-            coords: dict[int, Fraction] = {}
-            for i, wi in t.sparse_bracket(cp, cq).items():
-                for r, x in inv_rows[i].items():
-                    coords[r] = coords.get(r, 0) + wi * x
-            product = sparse_element(t.dim, coords)
-            if product.nonzero:
-                row[q] = product
-        table.append(row)
-    return AlgebraTable(t.name, t.dim, t.params, t.basis, table)
+    return AlgebraTable(t.name, t.dim, t.params + tuple(extra), t.basis, new_rows)
 
 
 def verify_isomorphism(t1: AlgebraTable, t2: AlgebraTable, change: BasisChange) -> Verdict:

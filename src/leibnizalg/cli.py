@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 from .algfile import parse_algebra, parse_change, serialize_algebra
 from .core import AlgebraTable, format_element
-from .errors import AlgebraError
+from .errors import AlgebraError, DimensionMismatchError
 
 
 def _read(path: str) -> str:
@@ -42,7 +42,12 @@ def _read_change(path: str, t: AlgebraTable):
 
     if path == "identity":
         return BasisChange.identity(t.dim)
-    return BasisChange(parse_change(_read(path)).matrix_for(t))
+    doc = parse_change(_read(path))
+    if doc.basis != t.basis:
+        raise DimensionMismatchError(
+            f"change document basis {list(doc.basis)} does not match table basis {list(t.basis)}"
+        )
+    return BasisChange.from_assignments(t, doc.assignments)
 
 
 def _rational(text: str) -> Fraction:

@@ -5,8 +5,7 @@ Element (its nonzero Poly coordinates over the basis). AlgebraTable holds
 only the nonzero products, in rows: rows[i] maps j to [b_i, b_j], in
 ascending j, and entry(i, j) reads any product, zero or not. Every builder
 fills rows and every reader walks them, so work follows the stored
-products, not dim^2. The bracket is the bilinear extension of the table.
-The residual
+products, not dim^2. The residual
 
     r(x, y, z) = [x, [y, z]] - [[x, y], z] + [[x, z], y]
 
@@ -23,7 +22,9 @@ checks visit only the triples whose residual can be nonzero (sparse_triples).
 
 Constant tables have one more representation, their sparse Fraction
 structure constants (AlgebraTable.constants), keyed like rows and built
-once per table for sparse_bracket and the subspace work. Subspaces, ideals,
+once per table. sparse_bracket, their bilinear extension, is the one
+bracket: the subspace work runs on it, and the basis change in basis reads
+the stored products (constants or rows) directly. Subspaces, ideals,
 quotients and invariant profiles are in spaces, which the AlgebraTable
 methods of those names import when first called; basis changes and their
 matrices are in basis. So `check` and `constraints` compile neither.
@@ -436,21 +437,6 @@ class AlgebraTable(Record):
         return AlgebraTable(self.name, self.dim, (), self.basis, rows)
 
     # -- bracket and residuals ----------------------------------------------
-
-    def bracket(self, u: Element, v: Element) -> Element:
-        """Bilinear extension of the table to arbitrary elements."""
-        if u.dim != self.dim or v.dim != self.dim:
-            raise DimensionMismatchError("element dimension does not match the table")
-        acc: dict[int, Poly] = {}
-        for i, cu in u.nonzero.items():
-            row_i = self.rows[i]
-            for j, cv in v.nonzero.items():
-                entry = row_i.get(j)
-                if entry:
-                    scale = cu * cv
-                    for k, ck in entry.nonzero.items():
-                        acc[k] = acc[k] + scale * ck if k in acc else scale * ck
-        return Element.of(self.dim, acc)
 
     def scaled_rows(self) -> Scaled:
         """scale_table over this table and its declared parameters, built afresh on every call."""

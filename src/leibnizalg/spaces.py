@@ -342,7 +342,12 @@ def center_dim(t: AlgebraTable, side: str) -> int:
 def invariant_profile(t: AlgebraTable) -> InvariantProfile:
     """Derived and lower central series dims, centers, squares ideal."""
     full = Subspace.full(t.dim)
-    square = t.product_span(full, full)  # [L, L] starts both series
+    # [L, L] starts both series; it is the span of the stored products [b_i, b_j]
+    products = Echelon(t.dim)
+    for row in t.constants():
+        for entry in row.values():
+            products.add(entry)
+    square = products.subspace()
 
     def series(step) -> tuple[int, ...]:
         dims = [t.dim]

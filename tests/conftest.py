@@ -220,9 +220,20 @@ def dense_constants(t: L.AlgebraTable) -> list:
     ]
 
 
+def bracket(t: L.AlgebraTable, u: L.Element, v: L.Element) -> L.Element:
+    """[u, v] in t: the bilinear extension of the table to Poly elements."""
+    assert u.dim == v.dim == t.dim
+    acc: dict = {}
+    for i, cu in u.nonzero.items():
+        for j, cv in v.nonzero.items():
+            for k, ck in t.entry(i, j).nonzero.items():
+                acc[k] = acc.get(k, L.ZERO) + cu * cv * ck
+    return L.Element.of(t.dim, acc)
+
+
 def right_mult_matrix(t: L.AlgebraTable, a: L.Element):
     """Matrix of v -> [v, a] on coordinate columns; column j is [b_j, a]."""
-    images = [t.bracket(t.basis_element(j), a) for j in range(t.dim)]
+    images = [bracket(t, t.basis_element(j), a) for j in range(t.dim)]
     return tuple(tuple(images[j].nonzero.get(i, L.ZERO) for j in range(t.dim)) for i in range(t.dim))
 
 

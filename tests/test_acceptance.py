@@ -14,7 +14,7 @@ import leibnizalg as L
 from leibnizalg.basis import BasisChange, mat_mul
 from leibnizalg.scalars import Poly
 
-from conftest import CRITERION_LINES, constant_fixture_tables, mat_sub, random_table, submodule_closure
+from conftest import CRITERION_LINES, bracket, constant_fixture_tables, mat_sub, random_table, submodule_closure
 
 
 def report(num: int, ok: bool, note: str = "") -> None:
@@ -306,7 +306,7 @@ def test_criterion_10_squares_are_central():
             ideal = t.squares_ideal()
             for v in ideal.as_elements():
                 for i in range(t.dim):
-                    if not t.bracket(t.basis_element(i), v).is_zero():
+                    if not bracket(t, t.basis_element(i), v).is_zero():
                         return False, f"{t.name}: [{t.basis[i]}, I] != 0"
             quotient, _ = t.quotient_by(ideal)
             if not quotient.check_lie().passed:

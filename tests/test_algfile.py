@@ -143,7 +143,7 @@ def test_parse_change():
     doc = L.parse_change(CHANGE_TEXT)
     assert doc.name == "shear"
     assert set(doc.assignments) == {"e", "f"}
-    rows = doc.matrix()
+    rows = L.BasisChange.from_assignments(L.make_sl2(), doc.assignments).rows
     b = Poly.param("b")
     assert rows[0] == (L.ONE, Fraction(1, 2) * b, L.ZERO)
     assert rows[1] == (L.ZERO, L.ONE, L.ZERO)  # unlisted h stays itself
@@ -153,8 +153,11 @@ def test_parse_change():
 def test_change_requires_matching_basis():
     doc = L.parse_change(CHANGE_TEXT)
     with pytest.raises(L.DimensionMismatchError):
-        doc.matrix_for(L.make_r2())
-    assert doc.matrix_for(L.make_sl2()) == doc.matrix()
+        L.BasisChange.from_assignments(L.make_r2(), doc.assignments)
+    by_name = {s: {t: c for t, c in zip(doc.basis, el.coords) if c} for s, el in doc.assignments.items()}
+    assert L.BasisChange.from_assignments(L.make_sl2(), by_name) == L.BasisChange.from_assignments(
+        L.make_sl2(), doc.assignments
+    )
 
 
 def test_change_rejects_unknown_and_duplicate_rows():

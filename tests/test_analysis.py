@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -209,6 +210,69 @@ def test_constant_change_metamorphic(data):
         singular.inverse_matrix()
     with pytest.raises(L.BasisChangeError, match="singular"):
         L.apply_basis_change(t, singular)
+
+
+# ---------------------------------------------------------------------------
+# reference basis change: every pair of new basis vectors bracketed through
+# every pair of old ones, then one dense product with C^-1
+
+
+def ref_apply_basis_change(t, change):
+    """new[p][q] = (sum over i, j of C[p][i]*C[q][j]*[b_i, b_j]) . C^-1."""
+    c, n = change.rows, t.dim
+    inv = change.inverse_matrix()
+    assert mat_mul(c, inv) == mat_identity(n)
+    rows = []
+    for p in range(n):
+        w = [[L.ZERO] * n for _ in range(n)]  # row q: [c_p, c_q] in old coordinates
+        for q in range(n):
+            for i in range(n):
+                for j in range(n):
+                    for k, x in t.entry(i, j).nonzero.items():
+                        w[q][k] = w[q][k] + c[p][i] * c[q][j] * x
+        rows.append({q: L.Element(coords) for q, coords in enumerate(mat_mul(tuple(map(tuple, w)), inv))})
+    extra = tuple(sorted(change.parameters() - set(t.params)))
+    return L.AlgebraTable(t.name, n, t.params + extra, t.basis, rows)
+
+
+@functools.cache
+def parametric_family_tables():
+    return (
+        L.make_L_prefamily(),
+        L.make_generic_family(L.FamilySpec(1, include_sl2_R_products=True)),
+        L.make_generic_family(L.FamilySpec(2)),
+    )
+
+
+@st.composite
+def unipotent_changes(draw, dim: int) -> BasisChange:
+    """I + N in a fresh parameter s: N is nonzero only above the diagonal
+    in a random order of the basis, so the determinant is 1."""
+    order = draw(st.permutations(range(dim)))
+    rows = [[L.ONE if i == j else L.ZERO for j in range(dim)] for i in range(dim)]
+    for _ in range(draw(st.integers(min_value=1, max_value=dim)) if dim > 1 else 0):
+        a = draw(st.integers(min_value=0, max_value=dim - 2))
+        b = draw(st.integers(min_value=a + 1, max_value=dim - 1))
+        e = draw(st.integers(min_value=1, max_value=2))
+        rows[order[a]][order[b]] += Poly({(("s", e),): draw(small_rationals)})
+    return BasisChange.from_rows(rows)
+
+
+TABLE_KINDS = {
+    "constant": sparse_constant_tables(),
+    "parametric": st.deferred(lambda: st.sampled_from(parametric_family_tables())),
+}
+CHANGE_KINDS = {"constant": invertible_changes, "unipotent": unipotent_changes}
+
+
+@pytest.mark.parametrize("table_kind", sorted(TABLE_KINDS))
+@pytest.mark.parametrize("change_kind", sorted(CHANGE_KINDS))
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_basis_change_matches_dense_reference(table_kind, change_kind, data):
+    t = data.draw(TABLE_KINDS[table_kind])
+    change = data.draw(CHANGE_KINDS[change_kind](t.dim))
+    assert L.apply_basis_change(t, change) == ref_apply_basis_change(t, change)
 
 
 # ---------------------------------------------------------------------------

@@ -291,7 +291,55 @@ def test_change_basis_wrong_basis_is_usage_error(capsys, tmp_path):
     assert "does not match" in err
 
 
-LONG = "7" * 5000  # past int()'s default limit of 4,300 digits
+DENSE_CHANGE_OF_L101 = """\
+new e = 1/2*e + 3/2*h - 1/2*f - 4/3*x0 + 2/3*x1 - 1/3*x2 + 2*y1 + 4/3*y2
+new h = -e + h + f - 3/2*x0 + 1/2*x1 + 1/3*x2 - 1/3*y1 + y2
+new f = 2*e - 1/3*h + 4*f - x0 + 2*x1 + 1/2*x2 + y1 + 1/3*y2
+new x0 = 1/3*e + 1/3*h - f - 2*x0 + x1 - 1/2*x2 - 1/2*y1 + 2*y2
+new x1 = -3/2*e - 2/3*f - 3/2*x0 - 1/2*x1 - 1/3*x2 + y1 - y2
+new x2 = -3/2*e + 1/2*h + 1/3*f - 1/3*x0 - 4*x1 + 4/3*x2 - 2*y1 - 4*y2
+new y1 = 4*e + 2/3*h - f - 2/3*x0 - 1/2*x1 + 2*x2 + y1 + y2
+new y2 = -4/3*e + 2*h + f + 1/2*x0 + 3*x1 + 2*x2 - 4/3*y1
+"""
+
+# sha256 of the `change-basis` output for (constructor arguments, change
+# parameters, `new` lines), as printed when a constant change of a constant
+# table ran on Fraction rows and every other case on Poly brackets: sparse,
+# dense and unipotent changes, constant and parametric, of constant and
+# parametric tables
+CHANGE_BASIS_DIGESTS = [
+    ("module-ext --m 30 --a 7/3", "", "new e = e - 5*f\nnew x0 = 2*x0 + x1\nnew y2 = y2 + 1/3*x30\n",
+     "78c595794834fcaac05cbd8f2c1f8be2dc2e5d98ce56a9a3e612bca13749e9db"),
+    ("dzhumadildaev --m 14", "", "new h = h + 3/2*x0\nnew f = e - f\nnew x7 = x7 - x8\n",
+     "873ffae18230648b0c86ad78837f175508bc000c14867746b6daf2868102eab1"),
+    ("Lfamily --l 2 --mu 3 --a 1", "", CHANGE_231_TO_101.split("basis e h f x0 x1 x2 y1 y2\n")[1],
+     "9473a64891e9c4048a47d70c6ff713052aa1e9ca0737ac9dba714a2f9fa7ef6f"),
+    ("Lfamily --l 1 --mu 0 --a 1", "", DENSE_CHANGE_OF_L101,
+     "41e4844ba3ec26d871d7c8ff1bd319d502b382209ff5a66aec7cf862fba25985"),
+    ("prefamily", "b", "new y2 = y2 + 1/2*b*x2\n",
+     "624e2c89833f973bc3300db54274637136bdcbe4e63f5c63383875fb4aec1fa3"),
+    ("prefamily", "", "new y1 = 1/2*y1\nnew y2 = -3/2*y1 + y2\n",
+     "bfb31d3b3908adaf66be14e3729d7ab3376ba658c75a63a88de591df82b94485"),
+    ("generic --m 4 --sl2-r-products", "s", "new y1 = y1 + s*x0\nnew x1 = x1 + s*x2\nnew y2 = y2 + s^2*y1\n",
+     "83bb336f0867b7f2cdca6ca20db2418a7e09247f7306b1d913d66a2e9e7b564a"),
+]
+
+
+@pytest.mark.parametrize(
+    ("args", "params", "rows", "digest"), CHANGE_BASIS_DIGESTS, ids=[f"{c[0]}|{c[1]}" for c in CHANGE_BASIS_DIGESTS]
+)
+def test_change_basis_output_is_pinned(capsys, tmp_path, args, params, rows, digest):
+    path = construct(capsys, tmp_path, *args.split())
+    with open(path, encoding="utf-8") as f:
+        t = L.parse_algebra(f.read())
+    header = f"change c\ndim {t.dim}\n" + (f"params {params}\n" if params else "")
+    chg = write(tmp_path, "c.chg", header + f"basis {' '.join(t.basis)}\n" + rows)
+    code, out, err = run(capsys, "change-basis", path, chg)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+LONG ="7" * 5000  # past int()'s default limit of 4,300 digits
 
 
 def long_literal_doc(kind, case):

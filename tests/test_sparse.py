@@ -244,3 +244,22 @@ def test_large_zero_table_costs_what_it_stores(capsys):
         tracemalloc.stop()
     assert verdict.passed and t.rows == ({},) * 1500
     assert peak < 5_000_000, peak
+
+
+def test_zero_table_profile_and_identity_change_follow_the_products(capsys, monkeypatch):
+    # [L, L] is the span of the stored products, of which this table has none
+    assert cli.main(["construct", "abelian", "--dim", "600"]) == 0
+    t = L.parse_algebra(capsys.readouterr().out)
+    calls = []
+    sparse_bracket = L.AlgebraTable.sparse_bracket
+
+    def counted(self, u, v):
+        calls.append(1)
+        return sparse_bracket(self, u, v)
+
+    monkeypatch.setattr(L.AlgebraTable, "sparse_bracket", counted)
+    profile = t.invariant_profile()
+    assert len(calls) == 0
+    assert profile.derived_series == profile.lower_central_series == (600, 0)
+    assert profile.left_center_dim == profile.right_center_dim == 600
+    assert L.apply_basis_change(t, L.BasisChange.identity(600)) == t
