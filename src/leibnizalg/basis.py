@@ -1,15 +1,16 @@
-"""Basis changes, isomorphism verification and the matrices they need.
+"""Basis changes and isomorphism verification.
 
-A BasisChange holds the new basis as rows C in old coordinates. A
-constant change is inverted by Gauss-Jordan elimination. Parametric rows
-are allowed only while the determinant stays a nonzero rational constant
-(unipotent changes and the like); then the inverse is the adjugate over
-that constant and every transformed entry stays polynomial. There is one
-transform for every table and change: each stored product [b_i, b_j]
-adds C[p][i]*C[q][j]*[b_i, b_j] to [c_p, c_q] in old coordinates, and
-each nonzero sum w is rewritten as w . C^-1. It runs over Fraction for
-a constant table and change, reading the table's sparse constants, and
-over Poly otherwise, so its work follows the stored products.
+A BasisChange is its new basis vectors c_p, as sparse Element rows in old
+coordinates, and every matrix here is a list of sparse rows {column:
+scalar}. A constant change is inverted by Gauss-Jordan elimination on the
+sparse [C | I]. Parametric rows are allowed only while the determinant
+stays a nonzero rational constant (unipotent changes and the like); then
+the inverse is the adjugate over that constant and every transformed entry
+stays polynomial. There is one transform for every table and change: each
+stored product [b_i, b_j] adds C[p][i]*C[q][j]*[b_i, b_j] to [c_p, c_q]
+in old coordinates, and each nonzero sum w is rewritten as w . C^-1. It
+runs over Fraction for a constant table and change and over Poly
+otherwise, so its work follows the stored products and nonzero entries.
 """
 
 from __future__ import annotations
@@ -17,49 +18,28 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .core import FAIL, PASS, AlgebraTable, Element, Matrix, Record, Verdict, sparse
-from .errors import BasisChangeError, DimensionMismatchError, MissingParameterError, ParametricError
-from .scalars import _F0, _F1, ONE, ZERO, Coeffish, Poly, as_poly
+from .core import FAIL, PASS, AlgebraTable, Element, Record, Verdict, element_from
+from .errors import BasisChangeError, DimensionMismatchError, ParametricError
+from .scalars import _F1, ONE, ZERO, Coeffish, Poly, as_poly
 
 _SINGULAR = "change of basis is singular (determinant 0)"
 
-
-# ---------------------------------------------------------------------------
-# matrices of scalars
-
-
-def mat_identity(n: int) -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+# a sparse matrix row {column: nonzero scalar}, the scalars Fraction or Poly
+Row = Mapping[int, Coeffish]
 
 
-def mat_from_rows(rows: Sequence[Sequence[Coeffish]]) -> Matrix:
-    return tuple(tuple(as_poly(c) for c in row) for row in rows)
+def _row_times(row: Row, m: Sequence[Row]) -> dict:
+    """The nonzero entries of the row vector row . m, for sparse rows m."""
+    acc: dict = {}
+    for k, x in row.items():
+        if x:
+            for j, y in m[k].items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+    return {j: v for j, v in acc.items() if v}
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a.b, summing only over the nonzero entries of a's rows and b's rows."""
-    m = len(b[0]) if b else 0
-    b_rows = [[(j, x) for j, x in enumerate(row) if x] for row in b]
-    out = []
-    for row in a:
-        acc: dict[int, Poly] = {}
-        for k, aik in enumerate(row):
-            if aik:
-                for j, bkj in b_rows[k]:
-                    acc[j] = acc.get(j, ZERO) + aik * bkj
-        out.append(tuple(acc.get(j, ZERO) for j in range(m)))
-    return tuple(out)
-
-
-def mat_constant(a: Matrix) -> tuple[tuple[Fraction, ...], ...]:
-    try:
-        return tuple(tuple(c.constant_value() for c in row) for row in a)
-    except MissingParameterError as exc:
-        raise ParametricError(f"matrix entry is not constant: {exc}") from exc
-
-
-def det_and_adjugate(m: Matrix) -> tuple[Poly, Matrix]:
-    """Determinant and adjugate via Faddeev-LeVerrier.
+def det_and_adjugate(m: Sequence[Mapping[int, Poly]]) -> tuple[Poly, list[dict[int, Poly]]]:
+    """Determinant and adjugate of a square matrix of sparse rows, via Faddeev-LeVerrier.
 
     Division-free apart from division by integers, so polynomial entries
     stay polynomial. adj(M).M = det(M).I holds exactly. This is the path
@@ -67,40 +47,41 @@ def det_and_adjugate(m: Matrix) -> tuple[Poly, Matrix]:
     inverse_constant.
     """
     n = len(m)
-    if n == 0:
-        return ONE, ()
-    b = mat_identity(n)
-    last_b = b
-    c = ONE
+    b: list[dict[int, Poly]] = [{i: ONE} for i in range(n)]
+    last_b, c = b, ONE
     for k in range(1, n + 1):
-        mb = mat_mul(m, b)
-        c = sum((mb[i][i] for i in range(n)), ZERO) * Fraction(-1, k)
-        last_b = b
+        mb = [_row_times(row, b) for row in m]
+        c = sum((row.get(i, ZERO) for i, row in enumerate(mb)), ZERO) * Fraction(-1, k)
+        last_b, b = b, mb
         # b = M.b + c.I
-        b = tuple(tuple(x + c if i == j else x for j, x in enumerate(row)) for i, row in enumerate(mb))
+        for i, row in enumerate(b):
+            x = row[i] + c if i in row else c
+            if x:
+                row[i] = x
+            else:
+                row.pop(i, None)
     det = c if n % 2 == 0 else -c
-    adj = last_b if (n - 1) % 2 == 0 else tuple(tuple(-x for x in row) for row in last_b)
+    adj = last_b if (n - 1) % 2 == 0 else [{j: -x for j, x in row.items()} for row in last_b]
     return det, adj
 
 
-def inverse_constant(m: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...] | None:
-    """Inverse of a constant square matrix by Gauss-Jordan on [M | I].
+def inverse_constant(m: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Fraction]] | None:
+    """Inverse of a constant square matrix of sparse rows, by Gauss-Jordan on [M | I].
 
     None when M is singular, that is when a pivot of [M | I] falls in the
-    identity block.
+    identity block. Otherwise row i of the reduced form is e_i followed by
+    row i of the inverse.
     """
     from .spaces import Echelon
 
     n = len(m)
     ech = Echelon(2 * n)
     for i, row in enumerate(m):
-        vec = sparse(row)
-        vec[n + i] = _F1
-        ech.add(vec)
+        ech.add({**row, n + i: _F1})
     if ech.order != list(range(n)):
         return None
     rows = ech.reduced()
-    return tuple(tuple(rows[i].get(n + j, _F0) for j in range(n)) for i in range(n))
+    return [{j - n: x for j, x in rows[i].items() if j >= n} for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -108,28 +89,35 @@ def inverse_constant(m: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, .
 
 
 class BasisChange(Record):
-    """New basis in old coordinates, one row per new basis vector."""
+    """New basis in old coordinates: rows[p] is the Element c_p."""
 
     __slots__ = ("rows",)
 
-    @classmethod
-    def identity(cls, dim: int) -> "BasisChange":
-        return cls(mat_identity(dim))
+    def __init__(self, rows: Sequence[Element]):
+        """Rejects a row whose dim is not the number of rows."""
+        for p, row in enumerate(rows):
+            if row.dim != len(rows):
+                raise DimensionMismatchError(f"change row {p} has length {row.dim} in a change of {len(rows)} rows")
+        Record.__init__(self, tuple(rows))
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Poly | Fraction | int]]) -> "BasisChange":
-        return cls(mat_from_rows(rows))
+    def identity(cls, dim: int) -> "BasisChange":
+        return cls([Element.of(dim, {i: ONE}) for i in range(dim)])
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[Coeffish]]) -> "BasisChange":
+        """The change with these dense rows."""
+        return cls([element_from(row) for row in rows])
 
     @classmethod
     def from_assignments(
         cls, t: AlgebraTable, assignments: Mapping[str, Element | Mapping[str, object]]
     ) -> "BasisChange":
         """Identity rows except the named ones, given over t's basis symbols."""
-        rows = [list(row) for row in mat_identity(t.dim)]
+        rows = [t.basis_element(i) for i in range(t.dim)]
         for symbol, value in assignments.items():
-            el = value if isinstance(value, Element) else t.element(value)
-            rows[t.index(symbol)] = list(el.coords)
-        return cls(tuple(tuple(r) for r in rows))
+            rows[t.index(symbol)] = value if isinstance(value, Element) else t.element(value)
+        return cls(rows)
 
     @property
     def dim(self) -> int:
@@ -138,34 +126,29 @@ class BasisChange(Record):
     def parameters(self) -> set[str]:
         names: set[str] = set()
         for row in self.rows:
-            for poly in row:
+            for poly in row.nonzero.values():
                 names |= poly.parameters()
         return names
 
-    def constant_rows(self) -> tuple[tuple[Fraction, ...], ...] | None:
-        """The rows over Fraction, or None when an entry has a parameter."""
-        try:
-            return mat_constant(self.rows)
-        except ParametricError:
-            return None
-
-    def inverse_matrix(self) -> Matrix:
+    def inverse(self) -> "BasisChange":
         """C^-1: Gauss-Jordan for a constant change, else adj(C)/det(C).
 
         A parametric change needs a nonzero rational constant determinant.
         """
-        return mat_from_rows(_matrices(self)[1])
+        inv = _matrices(self)[1]
+        return BasisChange([Element.of(self.dim, {j: as_poly(x) for j, x in row.items()}) for row in inv])
 
 
-def _matrices(change: BasisChange) -> tuple[Sequence[Sequence[Coeffish]], Sequence[Sequence[Coeffish]]]:
-    """(C, C^-1), over Fraction for a constant change and over Poly otherwise."""
-    rows = change.constant_rows()
-    if rows is not None:
+def _matrices(change: BasisChange) -> tuple[list[Row], list[Row]]:
+    """(C, C^-1) as sparse rows, over Fraction for a constant change and over Poly otherwise."""
+    if all(row.is_constant() for row in change.rows):
+        rows = [{k: c.constant_value() for k, c in row.nonzero.items()} for row in change.rows]
         inv = inverse_constant(rows)
         if inv is None:
             raise BasisChangeError(_SINGULAR)
         return rows, inv
-    det, adj = det_and_adjugate(change.rows)
+    rows = [row.nonzero for row in change.rows]
+    det, adj = det_and_adjugate(rows)
     if not det.is_constant():
         raise BasisChangeError(
             f"determinant {det} is not constant; only constant-determinant "
@@ -175,7 +158,7 @@ def _matrices(change: BasisChange) -> tuple[Sequence[Sequence[Coeffish]], Sequen
     if value == 0:
         raise BasisChangeError(_SINGULAR)
     inv = _F1 / value
-    return change.rows, tuple(tuple(inv * entry for entry in row) for row in adj)
+    return rows, [{j: inv * x for j, x in row.items()} for row in adj]
 
 
 def apply_basis_change(t: AlgebraTable, change: BasisChange) -> AlgebraTable:
@@ -200,10 +183,8 @@ def apply_basis_change(t: AlgebraTable, change: BasisChange) -> AlgebraTable:
     # uses[i] lists the (p, C[p][i]) with C[p][i] != 0: the new vectors that involve b_i
     uses: list[list] = [[] for _ in rows]
     for p, row in enumerate(rows):
-        for i, x in enumerate(row):
-            if x:
-                uses[i].append((p, x))
-    inv_rows = [[(r, x) for r, x in enumerate(row) if x] for row in inv]
+        for i, x in row.items():
+            uses[i].append((p, x))
     old: dict[tuple[int, int], dict] = {}
     for i, row in enumerate(products):
         for j, entry in row.items():
@@ -215,12 +196,8 @@ def apply_basis_change(t: AlgebraTable, change: BasisChange) -> AlgebraTable:
                         w[k] = w[k] + s * c if k in w else s * c
     new_rows: list[dict[int, Element]] = [{} for _ in rows]
     for (p, q), w in old.items():
-        coords: dict = {}
-        for k, c in w.items():
-            if c:
-                for r, x in inv_rows[k]:
-                    coords[r] = coords[r] + c * x if r in coords else c * x
-        new_rows[p][q] = Element.of(t.dim, {r: as_poly(x) for r, x in coords.items() if x})
+        coords = _row_times(w, inv)
+        new_rows[p][q] = Element.of(t.dim, {r: as_poly(x) for r, x in coords.items()})
     extra = sorted(change.parameters() - set(t.params))
     return AlgebraTable(t.name, t.dim, t.params + tuple(extra), t.basis, new_rows)
 

@@ -26,8 +26,8 @@ once per table. sparse_bracket, their bilinear extension, is the one
 bracket: the subspace work runs on it, and the basis change in basis reads
 the stored products (constants or rows) directly. Subspaces, ideals,
 quotients and invariant profiles are in spaces, which the AlgebraTable
-methods of those names import when first called; basis changes and their
-matrices are in basis. So `check` and `constraints` compile neither.
+methods of those names import when first called; basis changes are in
+basis. So `check` and `constraints` compile neither.
 """
 
 from __future__ import annotations
@@ -516,8 +516,8 @@ class AlgebraTable(Record):
 
     # -- subspaces: the bodies live in spaces, imported on first call ---------
 
-    def product_span(self, left: Subspace, right: Subspace) -> Subspace:
-        """span{ [u, v] : u in left, v in right }."""
+    def product_span(self, left: Subspace, right: Subspace | None = None) -> Subspace:
+        """span{ [u, v] : u in left, v in right }; right None is all of L."""
         from . import spaces
         return spaces.product_span(self, left, right)
 

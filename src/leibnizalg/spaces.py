@@ -232,17 +232,20 @@ def compare_profiles(t1: AlgebraTable, t2: AlgebraTable) -> ProfileReport:
 # the bodies of AlgebraTable's subspace methods; each takes the table first
 
 
-def product_span(t: AlgebraTable, left: Subspace, right: Subspace) -> Subspace:
-    """span{ [u, v] : u in left, v in right }, computed on echelon rows."""
-    ech = Echelon(t.dim)
-    rights = [sparse(r) for r in right.rows]
-    for row in left.rows:
-        u = sparse(row)
-        for v in rights:
-            w = t.sparse_bracket(u, v)
-            if w:
-                ech.add(w)
+def _nonzero_span(ambient: int, vectors: Iterable[SparseVec | Iterable[tuple[int, Fraction]]]) -> Subspace:
+    """The span of the nonzero sparse vectors among vectors."""
+    ech = Echelon(ambient)
+    for w in vectors:
+        if w:
+            ech.add(w)
     return ech.subspace()
+
+
+def product_span(t: AlgebraTable, left: Subspace, right: Subspace | None = None) -> Subspace:
+    """span{ [u, v] : u in left, v in right }, computed on echelon rows;
+    right None is all of L, spanned by the unit vectors {j: 1}."""
+    rights = [{j: _F1} for j in range(t.dim)] if right is None else [sparse(r) for r in right.rows]
+    return _nonzero_span(t.dim, (t.sparse_bracket(u, v) for u in map(sparse, left.rows) for v in rights))
 
 
 def _basis_brackets(t: AlgebraTable, v: SparseVec) -> Iterator[tuple[str, int, SparseVec]]:
@@ -341,24 +344,18 @@ def center_dim(t: AlgebraTable, side: str) -> int:
 
 def invariant_profile(t: AlgebraTable) -> InvariantProfile:
     """Derived and lower central series dims, centers, squares ideal."""
-    full = Subspace.full(t.dim)
     # [L, L] starts both series; it is the span of the stored products [b_i, b_j]
-    products = Echelon(t.dim)
-    for row in t.constants():
-        for entry in row.values():
-            products.add(entry)
-    square = products.subspace()
+    square = _nonzero_span(t.dim, (entry for row in t.constants() for entry in row.values()))
 
     def series(step) -> tuple[int, ...]:
-        dims = [t.dim]
-        current, nxt = full, square
-        while nxt.dim != current.dim:
+        dims, nxt = [t.dim], square
+        while nxt.dim != dims[-1]:
             dims.append(nxt.dim)
-            current, nxt = nxt, step(nxt)
+            nxt = step(nxt)
         return tuple(dims)
 
     derived = series(lambda s: t.product_span(s, s))
-    lower = series(lambda s: t.product_span(s, full))
+    lower = series(t.product_span)
     return InvariantProfile(
         dim=t.dim,
         derived_dim=derived[1] if len(derived) > 1 else derived[0],

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 import leibnizalg as L
-from leibnizalg.basis import mat_constant
-from leibnizalg.scalars import mono_degree
+from leibnizalg.scalars import as_poly, mono_degree
 
 # one line per acceptance criterion, echoed after the run (see
 # test_acceptance.report); kept here so the summary hook sees them
@@ -268,11 +267,52 @@ def mono_cmp(a, b) -> int:
 
 
 # ---------------------------------------------------------------------------
-# matrix helpers that only the tests use
+# dense matrices of Poly entries: the references that sparse rows are checked
+# against, and the module actions of make_sl2_module
+
+
+def mat_identity(n: int):
+    return tuple(tuple(L.ONE if i == j else L.ZERO for j in range(n)) for i in range(n))
+
+
+def mat_from_rows(rows):
+    return tuple(tuple(as_poly(c) for c in row) for row in rows)
+
+
+def mat_mul(a, b):
+    """a.b, summing only over the nonzero entries of a's rows and b's rows."""
+    m = len(b[0]) if b else 0
+    b_rows = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    out = []
+    for row in a:
+        acc: dict[int, L.Poly] = {}
+        for k, aik in enumerate(row):
+            if aik:
+                for j, bkj in b_rows[k]:
+                    acc[j] = acc.get(j, L.ZERO) + aik * bkj
+        out.append(tuple(acc.get(j, L.ZERO) for j in range(m)))
+    return tuple(out)
+
+
+def mat_constant(a):
+    try:
+        return tuple(tuple(c.constant_value() for c in row) for row in a)
+    except L.MissingParameterError as exc:
+        raise L.ParametricError(f"matrix entry is not constant: {exc}") from exc
 
 
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def dense(rows, n: int):
+    """The dense n-column matrix of sparse {column: scalar} rows."""
+    return mat_from_rows([[row.get(j, 0) for j in range(n)] for row in rows])
+
+
+def change_matrix(change: L.BasisChange):
+    """The dense matrix of a change: row p holds the coordinates of c_p."""
+    return tuple(row.coords for row in change.rows)
 
 
 def submodule_closure(ops, seed: L.Element) -> L.Subspace:

@@ -11,10 +11,12 @@ import time
 from fractions import Fraction
 
 import leibnizalg as L
-from leibnizalg.basis import BasisChange, mat_mul
+from leibnizalg.basis import BasisChange
 from leibnizalg.scalars import Poly
 
-from conftest import CRITERION_LINES, bracket, constant_fixture_tables, mat_sub, random_table, submodule_closure
+from conftest import (
+    CRITERION_LINES, bracket, constant_fixture_tables, mat_mul, mat_sub, random_table, submodule_closure,
+)
 
 
 def report(num: int, ok: bool, note: str = "") -> None:

@@ -145,9 +145,9 @@ def test_parse_change():
     assert set(doc.assignments) == {"e", "f"}
     rows = L.BasisChange.from_assignments(L.make_sl2(), doc.assignments).rows
     b = Poly.param("b")
-    assert rows[0] == (L.ONE, Fraction(1, 2) * b, L.ZERO)
-    assert rows[1] == (L.ZERO, L.ONE, L.ZERO)  # unlisted h stays itself
-    assert rows[2] == (L.ZERO, L.ZERO, Poly.const(-1))
+    assert rows[0].coords == (L.ONE, Fraction(1, 2) * b, L.ZERO)
+    assert rows[1].coords == (L.ZERO, L.ONE, L.ZERO)  # unlisted h stays itself
+    assert rows[2].coords == (L.ZERO, L.ZERO, Poly.const(-1))
 
 
 def test_change_requires_matching_basis():

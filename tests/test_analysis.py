@@ -10,11 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 import leibnizalg as L
 from leibnizalg import scalars
-from leibnizalg.basis import BasisChange, det_and_adjugate, mat_identity, mat_mul
+from leibnizalg.basis import BasisChange, det_and_adjugate
+from leibnizalg.core import sparse
 from leibnizalg.scalars import Poly, _join_terms, format_term, normalize_primitive, poly_sort_key
 
 from conftest import (
+    change_matrix,
+    dense,
     invertible_changes,
+    mat_identity,
+    mat_mul,
     mono_cmp,
     parametric_tables,
     poly_from_terms,
@@ -98,18 +103,28 @@ def test_change_composition(sl2):
     c2 = BasisChange.from_assignments(sl2, {"e": {"e": 1, "h": 1}})
     in_two_steps = L.apply_basis_change(L.apply_basis_change(sl2, c1), c2)
     # c1 followed by c2 is the one matrix c2.c1
-    at_once = L.apply_basis_change(sl2, BasisChange(mat_mul(c2.rows, c1.rows)))
+    at_once = L.apply_basis_change(sl2, BasisChange.from_rows(mat_mul(change_matrix(c2), change_matrix(c1))))
     assert in_two_steps == at_once
 
 
 def test_inverse_matrix():
     shear = BasisChange.from_rows([[1, B], [0, 1]])
-    inv = shear.inverse_matrix()
-    assert mat_mul(shear.rows, inv) == mat_identity(2)
+    inv = shear.inverse()
+    assert mat_mul(change_matrix(shear), change_matrix(inv)) == mat_identity(2)
     with pytest.raises(L.BasisChangeError, match="singular"):
-        BasisChange.from_rows([[1, 1], [2, 2]]).inverse_matrix()
+        BasisChange.from_rows([[1, 1], [2, 2]]).inverse()
     with pytest.raises(L.BasisChangeError, match="not constant"):
-        BasisChange.from_rows([[B, 0], [0, 1]]).inverse_matrix()
+        BasisChange.from_rows([[B, 0], [0, 1]]).inverse()
+
+
+def test_non_square_changes_are_rejected(sl2):
+    # a short row used to read as zero-padded, a long one to end in an IndexError
+    with pytest.raises(L.DimensionMismatchError, match="change row 0 has length 2 in a change of 3 rows"):
+        BasisChange.from_rows([[1, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(L.DimensionMismatchError, match="change row 0 has length 4 in a change of 3 rows"):
+        BasisChange.from_rows([[1, 0, 0, 5], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(L.DimensionMismatchError, match="change row 1 has length 2"):
+        BasisChange.from_assignments(sl2, {"h": L.element_from([1, 1])})
 
 
 def test_verify_isomorphism_positive():
@@ -154,7 +169,7 @@ def _random_invertible_change(rng: random.Random, dim: int) -> BasisChange:
         ]
         change = BasisChange.from_rows(rows)
         try:
-            change.inverse_matrix()
+            change.inverse()
         except L.BasisChangeError:
             continue
         return change
@@ -192,10 +207,10 @@ def test_compare_profiles_inconclusive():
 def test_constant_change_metamorphic(data):
     t = data.draw(sparse_constant_tables())
     change = data.draw(invertible_changes(t.dim))
-    inv = change.inverse_matrix()
-    assert mat_mul(inv, change.rows) == mat_identity(t.dim)
-    det, adj = det_and_adjugate(change.rows)
-    assert inv == tuple(tuple(x * Fraction(1, det.constant_value()) for x in row) for row in adj)
+    inv = change_matrix(change.inverse())
+    assert mat_mul(inv, change_matrix(change)) == mat_identity(t.dim)
+    det, adj = det_and_adjugate([row.nonzero for row in change.rows])
+    assert inv == tuple(tuple(x * Fraction(1, det.constant_value()) for x in row) for row in dense(adj, t.dim))
     moved = L.apply_basis_change(t, change)
     assert moved.invariant_profile() == t.invariant_profile()
     assert L.verify_isomorphism(t, moved, change).passed
@@ -204,10 +219,10 @@ def test_constant_change_metamorphic(data):
     j = data.draw(st.integers(min_value=0, max_value=t.dim - 1).filter(lambda j: j != i or t.dim == 1))
     scale = data.draw(small_rationals) if j != i else 0
     rows = list(change.rows)
-    rows[i] = tuple(scale * x for x in rows[j])
-    singular = BasisChange(tuple(rows))
+    rows[i] = scale * rows[j]
+    singular = BasisChange(rows)
     with pytest.raises(L.BasisChangeError, match="singular"):
-        singular.inverse_matrix()
+        singular.inverse()
     with pytest.raises(L.BasisChangeError, match="singular"):
         L.apply_basis_change(t, singular)
 
@@ -219,8 +234,8 @@ def test_constant_change_metamorphic(data):
 
 def ref_apply_basis_change(t, change):
     """new[p][q] = (sum over i, j of C[p][i]*C[q][j]*[b_i, b_j]) . C^-1."""
-    c, n = change.rows, t.dim
-    inv = change.inverse_matrix()
+    c, n = change_matrix(change), t.dim
+    inv = change_matrix(change.inverse())
     assert mat_mul(c, inv) == mat_identity(n)
     rows = []
     for p in range(n):
@@ -273,6 +288,19 @@ def test_basis_change_matches_dense_reference(table_kind, change_kind, data):
     t = data.draw(TABLE_KINDS[table_kind])
     change = data.draw(CHANGE_KINDS[change_kind](t.dim))
     assert L.apply_basis_change(t, change) == ref_apply_basis_change(t, change)
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_sparse_det_and_adjugate_matches_dense_reference(data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    entry = st.one_of(st.just(L.ZERO), rational_polys(("p", "q")))
+    m = list(map(sparse, data.draw(st.lists(st.tuples(*[entry] * n), min_size=n, max_size=n))))
+    det, adj = det_and_adjugate(m)
+    det_i = tuple(tuple(det if i == j else L.ZERO for j in range(n)) for i in range(n))
+    assert mat_mul(dense(m, n), dense(adj, n)) == det_i
+    change = data.draw(unipotent_changes(n))
+    assert mat_mul(change_matrix(change.inverse()), change_matrix(change)) == mat_identity(n)
 
 
 # ---------------------------------------------------------------------------

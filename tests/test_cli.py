@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -554,6 +555,14 @@ def test_readme_transcripts_replay(capsys, tmp_path, monkeypatch):
         assert f"leibnizalg {command}" in replayed
 
 
+def test_readme_python_block_runs(capsys):
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"Python use mirrors the CLI:\n\n```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, README, "exec"), {})
+    assert capsys.readouterr().out == "['l - a*l']\n"
+
+
 def test_profile_human_and_porcelain(capsys, tmp_path):
     p1 = construct(capsys, tmp_path, "sl2")
     p2 = construct(capsys, tmp_path, "Lfamily", "--l", "0", "--mu", "1", "--a", "1", filename="l011.alg")
@@ -898,7 +907,7 @@ def test_simple_commands_import_neither_analysis_nor_constructions(small_inputs,
 # load the module, nor compile these names anywhere else
 LAYER_NAMES = {
     "leibnizalg.spaces": {"Echelon", "InvariantProfile", "QuotientMap", "Subspace", "span"},
-    "leibnizalg.basis": {"BasisChange", "det_and_adjugate", "inverse_constant", "mat_identity", "mat_mul"},
+    "leibnizalg.basis": {"BasisChange", "det_and_adjugate", "inverse_constant", "_row_times"},
 }
 BOTH_LAYERS = ("leibnizalg.spaces", "leibnizalg.basis")
 SKIPPED_LAYERS = [
@@ -932,6 +941,11 @@ def test_table_commands_do_not_import_argparse(small_inputs, argv):
     added, _ = imports_of(small_inputs, *argv)
     assert "leibnizalg.cli" in added
     assert "argparse" not in added
+
+
+def test_layer_names_are_defined_by_their_layer():
+    for module, names in LAYER_NAMES.items():
+        assert names <= set(vars(importlib.import_module(module))), module
 
 
 @pytest.mark.parametrize(("argv", "skipped"), SKIPPED_LAYERS, ids=[" ".join(a) for a, _ in SKIPPED_LAYERS])

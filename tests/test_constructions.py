@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 
 import leibnizalg as L
-from leibnizalg.basis import mat_mul
 from leibnizalg.scalars import Poly
 
-from conftest import bracket, mat_sub
+from conftest import bracket, mat_mul, mat_sub
 
 
 def test_sl2_table(sl2):

@@ -17,10 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 import leibnizalg as L
 from leibnizalg import cli
-from leibnizalg.basis import mat_from_rows, mat_mul
 from leibnizalg.scalars import Poly, _join_terms, format_term
 
-from conftest import mat_sub, parametric_tables, random_table, rational_polys, sparse_constant_tables
+from conftest import (
+    mat_from_rows, mat_mul, mat_sub, parametric_tables, random_table, rational_polys, sparse_constant_tables,
+)
 
 
 def ref_format_element(el, basis):
@@ -246,10 +247,11 @@ def test_large_zero_table_costs_what_it_stores(capsys):
     assert peak < 5_000_000, peak
 
 
-def test_zero_table_profile_and_identity_change_follow_the_products(capsys, monkeypatch):
+def test_zero_table_profile_and_identity_change_follow_the_products(capsys, monkeypatch, tmp_path):
     # [L, L] is the span of the stored products, of which this table has none
     assert cli.main(["construct", "abelian", "--dim", "600"]) == 0
-    t = L.parse_algebra(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    t = L.parse_algebra(text)
     calls = []
     sparse_bracket = L.AlgebraTable.sparse_bracket
 
@@ -263,3 +265,27 @@ def test_zero_table_profile_and_identity_change_follow_the_products(capsys, monk
     assert profile.derived_series == profile.lower_central_series == (600, 0)
     assert profile.left_center_dim == profile.right_center_dim == 600
     assert L.apply_basis_change(t, L.BasisChange.identity(600)) == t
+    # and none of these builds a dense 600 x 600 structure, which alone holds 2.9 MB of pointers
+    path = tmp_path / "F.alg"
+    path.write_text(text, encoding="utf-8")
+    one_row = tmp_path / "one_row.chg"
+    one_row.write_text(
+        f"change one_row\ndim 600\nbasis {' '.join(t.basis)}\nnew z0 = z0 + z1\n", encoding="utf-8"
+    )
+    F = str(path)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    got, used = peak(t.invariant_profile)
+    assert got == profile and used < 1_000_000, used
+    code, used = peak(lambda: cli.main(["change-basis", F, str(one_row)]))
+    assert code == 0 and used < 3_000_000, used
+    assert L.parse_algebra(capsys.readouterr().out) == t
+    code, used = peak(lambda: cli.main(["verify-iso", F, F, "identity"]))
+    assert code == 0 and used < 3_000_000, used
+    assert capsys.readouterr().out.startswith("PASS")
