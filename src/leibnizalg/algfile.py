@@ -11,9 +11,9 @@ ignored, whitespace inside a line is free):
 
 EXPR is `0` or terms joined by `+` and `-`. A term is an optional rational
 coefficient (INT or INT/INT) and an optional monomial (param factors
-`name` or `name^INT`), each followed by `*`, then a basis symbol:
-`2*e`, `x0`, `l*x0`, `-1/2*a*b^2*x1`. Scalar expressions (used for
-constraint output) are the same minus the trailing basis symbol.
+`name` or `name^INT`, INT <= MAX_EXPONENT), each followed by `*`, then a
+basis symbol: `2*e`, `x0`, `l*x0`, `-1/2*a*b^2*x1`. Scalar expressions
+(used for constraint output) are the same minus the trailing basis symbol.
 
 A change-of-basis document uses the same header with `change` in place of
 `algebra`, followed by `new NAME = EXPR` lines giving new basis vectors in
@@ -37,6 +37,8 @@ _RATIONAL_RE = re.compile(r"\d+(?:/\d+)?\Z")
 _POWER_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?\Z")
 _PRODUCT_RE = re.compile(r"\[([^],]+),([^],]+)\]=(.+)\Z")
 _NEW_RE = re.compile(r"new\s+(\S+?)\s*=\s*(.+)\Z")
+
+MAX_EXPONENT = 10_000  # of `name^INT`; one in the billions prints at once but never evaluates
 
 
 def _strip(line: str) -> str:
@@ -109,6 +111,8 @@ def _parse_term(
         if not m or m.group(1) not in params:
             raise ParseError(lineno, f"unknown symbol {factor!r}")
         exp = _int(m.group(2), lineno) if m.group(2) else 1
+        if exp > MAX_EXPONENT:
+            raise ParseError(lineno, f"exponent of {m.group(1)!r} is above {MAX_EXPONENT}")
         if exp == 0:
             continue
         mono = mono_mul(mono, ((m.group(1), exp),))

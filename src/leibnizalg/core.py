@@ -145,9 +145,6 @@ class Element(Record):
     def is_constant(self) -> bool:
         return all(c.is_constant() for c in self.nonzero.values())
 
-    def constant_coords(self) -> tuple[Fraction, ...]:
-        return tuple(c.constant_value() for c in self.coords)
-
     def __add__(self, other: "Element") -> "Element":
         if self.dim != other.dim:
             raise DimensionMismatchError(f"element dimensions differ: {self.dim} vs {other.dim}")

@@ -15,7 +15,7 @@ from bisect import insort
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
-from .core import AlgebraTable, Element, Record, SparseVec, element_from, sparse, sparse_element, symmetric_pairs
+from .core import AlgebraTable, Element, Record, SparseVec, sparse, sparse_element, symmetric_pairs
 from .errors import DimensionMismatchError, NotAnIdealError, ParametricError
 from .scalars import _F0, _F1, ZERO
 
@@ -53,7 +53,8 @@ class Echelon:
     @classmethod
     def of(cls, sub: "Subspace") -> "Echelon":
         ech = cls(sub.ambient)
-        ech.rows = {p: sparse(r) for r, p in zip(sub.rows, sub.pivots)}
+        # copies: reduced() back-substitutes in place
+        ech.rows = {p: dict(r) for r, p in zip(sub.rows, sub.pivots)}
         ech.order = list(sub.pivots)
         return ech
 
@@ -103,15 +104,17 @@ class Echelon:
 
     def subspace(self) -> "Subspace":
         rows = self.reduced()
-        n = self.ambient
-        dense = tuple(tuple(rows[p].get(k, _F0) for k in range(n)) for p in self.order)
-        return Subspace(n, dense, tuple(self.order))
+        return Subspace(self.ambient, tuple(dict(sorted(rows[p].items())) for p in self.order), tuple(self.order))
 
 
 class Subspace(Record):
-    """A subspace of F^ambient in reduced row echelon form."""
+    """A subspace of F^ambient in reduced row echelon form: rows[r] is the
+    sparse row {column: nonzero value}, columns ascending, with pivot pivots[r]."""
 
     __slots__ = ("ambient", "rows", "pivots")
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, tuple(frozenset(r.items()) for r in self.rows), self.pivots))
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
@@ -119,24 +122,17 @@ class Subspace(Record):
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
-        rows = tuple(
-            tuple(_F1 if i == j else _F0 for j in range(ambient)) for i in range(ambient)
-        )
-        return Subspace(ambient, rows, tuple(range(ambient)))
+        return Subspace(ambient, tuple({i: _F1} for i in range(ambient)), tuple(range(ambient)))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, coords: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        left = Echelon.of(self).reduce(sparse(coords))
-        return tuple(left.get(k, _F0) for k in range(self.ambient))
-
     def contains(self, coords: Sequence[Fraction]) -> bool:
-        return not any(self.reduce(coords))
+        return not Echelon.of(self).reduce(sparse(coords))
 
     def as_elements(self) -> tuple[Element, ...]:
-        return tuple(element_from(r) for r in self.rows)
+        return tuple(sparse_element(self.ambient, r) for r in self.rows)
 
     def complement_indices(self) -> tuple[int, ...]:
         used = set(self.pivots)
@@ -145,22 +141,23 @@ class Subspace(Record):
 
 def span(vectors: Iterable[Element | Sequence[Fraction]], ambient: int | None = None) -> Subspace:
     """Row space of the given vectors as a canonical Subspace (reduced row echelon form)."""
-    rows = []
+    rows: list[tuple[int, SparseVec]] = []  # (length, nonzero coordinates)
     for v in vectors:
         if isinstance(v, Element):
             if not v.is_constant():
                 raise ParametricError("span requires constant coordinates")
-            v = v.constant_coords()
-        rows.append(v)
+            rows.append((v.dim, {k: c.constant_value() for k, c in v.nonzero.items()}))
+        else:
+            rows.append((len(v), sparse(v)))
     if ambient is None:
         if not rows:
             raise DimensionMismatchError("span of no vectors needs an explicit ambient dimension")
-        ambient = len(rows[0])
+        ambient = rows[0][0]
     ech = Echelon(ambient)
-    for r in rows:
-        if len(r) != ambient:
-            raise DimensionMismatchError(f"vector of length {len(r)} in ambient dimension {ambient}")
-        ech.add(sparse(r))
+    for n, r in rows:
+        if n != ambient:
+            raise DimensionMismatchError(f"vector of length {n} in ambient dimension {ambient}")
+        ech.add(r)
     return ech.subspace()
 
 
@@ -196,9 +193,8 @@ class QuotientMap(Record):
         for row, p in zip(self.ideal.rows, self.ideal.pivots):
             c = coords.get(p)
             if c:
-                for k, x in enumerate(row):
-                    if x:
-                        coords[k] = coords.get(k, ZERO) - c * x
+                for k, x in row.items():
+                    coords[k] = coords.get(k, ZERO) - c * x
         return Element.of(len(self.kept), {r: coords.get(i, ZERO) for r, i in enumerate(self.kept)})
 
 
@@ -244,8 +240,8 @@ def _nonzero_span(ambient: int, vectors: Iterable[SparseVec | Iterable[tuple[int
 def product_span(t: AlgebraTable, left: Subspace, right: Subspace | None = None) -> Subspace:
     """span{ [u, v] : u in left, v in right }, computed on echelon rows;
     right None is all of L, spanned by the unit vectors {j: 1}."""
-    rights = [{j: _F1} for j in range(t.dim)] if right is None else [sparse(r) for r in right.rows]
-    return _nonzero_span(t.dim, (t.sparse_bracket(u, v) for u in map(sparse, left.rows) for v in rights))
+    rights = [{j: _F1} for j in range(t.dim)] if right is None else right.rows
+    return _nonzero_span(t.dim, (t.sparse_bracket(u, v) for u in left.rows for v in rights))
 
 
 def _basis_brackets(t: AlgebraTable, v: SparseVec) -> Iterator[tuple[str, int, SparseVec]]:
@@ -265,7 +261,7 @@ def ideal_closure(t: AlgebraTable, seed: Subspace) -> Subspace:
     if seed.ambient != t.dim:
         raise DimensionMismatchError("seed lives in the wrong ambient dimension")
     ech = Echelon(t.dim)
-    pending = [row for row in map(ech.add, map(sparse, seed.rows)) if row is not None]
+    pending = [row for row in map(ech.add, seed.rows) if row is not None]
     while pending and ech.rank < t.dim:
         for _, _, w in _basis_brackets(t, pending.pop()):
             if w:
@@ -292,9 +288,9 @@ def verify_ideal(t: AlgebraTable, sub: Subspace) -> None:
     """Raise NotAnIdealError naming a violating product if sub is not an ideal."""
     ech = Echelon.of(sub)
     for row in sub.rows:
-        for side, j, w in _basis_brackets(t, sparse(row)):
-            if ech.reduce(w):
-                el = t.format_element(element_from(row))
+        for side, j, w in _basis_brackets(t, row):
+            if w and ech.reduce(w):
+                el = t.format_element(sparse_element(sub.ambient, row))
                 pair = f"{el}, {t.basis[j]}" if side == "right" else f"{t.basis[j]}, {el}"
                 raise NotAnIdealError(f"[{pair}] leaves the subspace")
 

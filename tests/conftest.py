@@ -321,9 +321,10 @@ def submodule_closure(ops, seed: L.Element) -> L.Subspace:
     const_ops = [mat_constant(op) for op in ops]
     current = L.span([seed], ambient)
     while True:
-        vectors = list(current.rows)
+        rows = [tuple(c.constant_value() for c in v.coords) for v in current.as_elements()]
+        vectors = list(rows)
         for op in const_ops:
-            for row in current.rows:
+            for row in rows:
                 image = tuple(
                     sum((op[i][j] * row[j] for j in range(ambient)), Fraction(0)) for i in range(ambient)
                 )

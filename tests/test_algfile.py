@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import leibnizalg as L
-from leibnizalg.algfile import parse_scalar
+from leibnizalg import cli
+from leibnizalg.algfile import MAX_EXPONENT, parse_scalar
 from leibnizalg.scalars import Poly
 
 from conftest import random_table
@@ -89,6 +90,23 @@ def test_parse_scalar():
     assert parse_scalar("-3/4", ()) == Fraction(-3, 4)
     with pytest.raises(L.ParseError):
         parse_scalar("q", ("a",))
+
+
+def test_exponents_above_the_cap_are_refused(capsys, tmp_path):
+    head = "algebra t\ndim 1\nparams a\nbasis z\n"
+    at_cap = head + f"[z,z] = a^{MAX_EXPONENT}*z\n"
+    assert L.serialize_algebra(L.parse_algebra(at_cap)) == at_cap
+    hostile = head + "[z,z] = a^100000000000*z\n"
+    with pytest.raises(L.ParseError, match=f"exponent of 'a' is above {MAX_EXPONENT}") as exc:
+        L.parse_algebra(hostile)
+    assert exc.value.lineno == 5
+    with pytest.raises(L.ParseError, match="exponent"):
+        parse_scalar(f"a^{MAX_EXPONENT + 1}", ("a",))
+    path = tmp_path / "t.alg"
+    path.write_text(hostile, encoding="utf-8")
+    assert cli.main(["constraints", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "line 5: exponent" in out.err
 
 
 def test_serialize_zero_table_is_header_only():

@@ -32,9 +32,9 @@ from conftest import (
 
 
 def rref(rows, ambient):
-    """(rows, pivots) of the reduced row echelon form, as span computes it."""
+    """(dense rows, pivots) of the reduced row echelon form, as span computes it."""
     sub = L.span(rows, ambient)
-    return sub.rows, sub.pivots
+    return tuple(tuple(r.get(k, 0) for k in range(ambient)) for r in sub.rows), sub.pivots
 
 
 def test_element_arithmetic():
@@ -54,6 +54,7 @@ def record_instances():
     return [
         L.element_from([1, 0, 2]),
         ideal,
+        L.span([t.basis_element("e"), t.basis_element("f")]),
         L.Verdict("FAIL", witness=("e", "h"), residual=L.zero_element(3), detail="why"),
         profile,
         L.QuotientMap(ideal, (0, 1, 2)),
@@ -463,6 +464,12 @@ def test_span_and_subspace(sl2):
     assert sub.contains((1, 0, 0))
     assert not sub.contains((0, 1, 0))
     assert sub.complement_indices() == (1,)
+    # Echelon.of copies the rows: back-substitution after add must not reach sub
+    sub = L.span([e + h])
+    ech = spaces.Echelon.of(sub)
+    ech.add({1: Fraction(1)})
+    assert ech.subspace() == L.span([e, h])
+    assert sub.rows == ({0: 1, 1: 1},) and sub == L.span([e + h])
 
 
 def test_span_edge_cases():
@@ -798,8 +805,9 @@ def ref_rref(rows, ambient):
 
 
 def ref_span(vectors, ambient):
-    rows = [v.constant_coords() if isinstance(v, L.Element) else v for v in vectors]
-    return L.Subspace(ambient, *ref_rref(rows, ambient))
+    rows = [tuple(c.constant_value() for c in v.coords) if isinstance(v, L.Element) else v for v in vectors]
+    dense_rows, pivots = ref_rref(rows, ambient)
+    return L.Subspace(ambient, tuple(core.sparse(r) for r in dense_rows), pivots)
 
 
 def ref_product_span(t, left, right):
@@ -810,8 +818,9 @@ def ref_product_span(t, left, right):
 def ref_ideal_closure(t, seed):
     current = seed
     while True:
-        vectors = list(current.rows)
-        for el in current.as_elements():
+        elements = current.as_elements()
+        vectors = list(elements)
+        for el in elements:
             for j in range(t.dim):
                 b = t.basis_element(j)
                 vectors += [bracket(t, el, b), bracket(t, b, el)]

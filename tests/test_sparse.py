@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leibnizalg as L
-from leibnizalg import cli
+from leibnizalg import cli, spaces
 from leibnizalg.scalars import Poly, _join_terms, format_term
 
 from conftest import (
@@ -247,6 +247,15 @@ def test_large_zero_table_costs_what_it_stores(capsys):
     assert peak < 5_000_000, peak
 
 
+def peak(call):
+    """(call(), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_zero_table_profile_and_identity_change_follow_the_products(capsys, monkeypatch, tmp_path):
     # [L, L] is the span of the stored products, of which this table has none
     assert cli.main(["construct", "abelian", "--dim", "600"]) == 0
@@ -273,14 +282,6 @@ def test_zero_table_profile_and_identity_change_follow_the_products(capsys, monk
         f"change one_row\ndim 600\nbasis {' '.join(t.basis)}\nnew z0 = z0 + z1\n", encoding="utf-8"
     )
     F = str(path)
-
-    def peak(call):
-        tracemalloc.start()
-        try:
-            return call(), tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     got, used = peak(t.invariant_profile)
     assert got == profile and used < 1_000_000, used
     code, used = peak(lambda: cli.main(["change-basis", F, str(one_row)]))
@@ -289,3 +290,38 @@ def test_zero_table_profile_and_identity_change_follow_the_products(capsys, monk
     code, used = peak(lambda: cli.main(["verify-iso", F, F, "identity"]))
     assert code == 0 and used < 3_000_000, used
     assert capsys.readouterr().out.startswith("PASS")
+
+
+def diagonal_table(n):
+    """[z_i, z_i] = z_i and no other product: the squares ideal is all of L."""
+    basis = [f"z{i}" for i in range(n)]
+    return L.AlgebraTable.from_products(f"diag{n}", basis, {(b, b): {b: 1} for b in basis})
+
+
+def test_diagonal_ideal_and_profile_hold_sparse_rows():
+    # held as dense dim x dim Fraction rows, the ideal and its elements peaked above 6 MB
+    t = diagonal_table(600)
+    elements, used = peak(lambda: t.squares_ideal().as_elements())
+    assert elements == tuple(t.basis_element(i) for i in range(600))
+    assert used < 2_000_000, used
+    profile, used = peak(diagonal_table(600).invariant_profile)
+    assert profile.squares_ideal_dim == 600 and profile.derived_series == (600,)
+    assert used < 2_000_000, used
+
+
+def test_quotient_reduces_only_nonzero_brackets(monkeypatch):
+    n = 600
+    t = diagonal_table(n)
+    ideal = t.squares_ideal()
+    calls = []
+    reduce = spaces.Echelon.reduce
+
+    def counted(self, vec):
+        calls.append(1)
+        return reduce(self, vec)
+
+    monkeypatch.setattr(spaces.Echelon, "reduce", counted)
+    quotient, _ = t.quotient_by(ideal)
+    assert quotient.dim == 0
+    # [z_i, z_j] is zero unless j = i, so each ideal row has one nonzero bracket per side
+    assert len(calls) == 2 * n
