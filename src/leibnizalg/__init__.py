@@ -25,10 +25,10 @@ _EXPORTS = {
         "AdmissibilityError", "AlgebraError", "BasisChangeError", "DimensionMismatchError",
         "MissingParameterError", "NotAnIdealError", "ParametricError", "ParseError",
     ),
-    "scalars": ("ONE", "ZERO", "Poly", "as_poly", "normalize_primitive"),
+    "scalars": ("ONE", "ZERO", "Poly", "as_poly"),
     "spaces": (
         "DISTINGUISHED", "INCONCLUSIVE", "InvariantProfile", "ProfileReport", "QuotientMap",
-        "Subspace", "compare_profiles", "span",
+        "Subspace", "span",
     ),
 }
 # public name -> the submodule that defines it, imported on first access

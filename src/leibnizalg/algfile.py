@@ -14,6 +14,7 @@ coefficient (INT or INT/INT) and an optional monomial (param factors
 `name` or `name^INT`, INT <= MAX_EXPONENT), each followed by `*`, then a
 basis symbol: `2*e`, `x0`, `l*x0`, `-1/2*a*b^2*x1`. Scalar expressions
 (used for constraint output) are the same minus the trailing basis symbol.
+Output keeps to the same exponent cap (check_exponents), so it reads back.
 
 A change-of-basis document uses the same header with `change` in place of
 `algebra`, followed by `new NAME = EXPR` lines giving new basis vectors in
@@ -26,10 +27,11 @@ positioned error. Files are UTF-8, newline-terminated.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .core import AlgebraTable, Element, Record, format_element, zero_element
-from .errors import ParseError
+from .errors import AlgebraError, ParseError
 from .scalars import ZERO, Poly, mono_mul
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -230,10 +232,21 @@ def parse_algebra(text: str) -> AlgebraTable:
     return AlgebraTable(name, dim, params, basis, rows)
 
 
+def check_exponents(polys: Iterable[Poly]) -> None:
+    """Raise AlgebraError at an exponent above MAX_EXPONENT, which the parsers
+    refuse. Exponents add under products, so output can pass the cap."""
+    for name, e in (pair for p in polys for mono in p.terms for pair in mono):
+        if e > MAX_EXPONENT:
+            raise AlgebraError(
+                f"exponent {e} of {name!r} is above MAX_EXPONENT = {MAX_EXPONENT}; the output would not read back"
+            )
+
+
 def serialize_algebra(t: AlgebraTable) -> str:
-    """Canonical .alg text: header, then nonzero products in basis order."""
+    """Canonical .alg text: header, then nonzero products in basis order; check_exponents guards it."""
     lines = [f"algebra {t.name}", f"dim {t.dim}"]
-    if t.params:
+    if t.params:  # else no entry has a monomial
+        check_exponents(p for row in t.rows for entry in row.values() for p in entry.nonzero.values())
         lines.append("params " + " ".join(t.params))
     lines.append("basis " + " ".join(t.basis))
     for left, row in zip(t.basis, t.rows):

@@ -18,14 +18,11 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .core import FAIL, PASS, AlgebraTable, Element, Record, Verdict, element_from
+from .core import FAIL, PASS, AlgebraTable, Element, Record, Row, Verdict, element_from
 from .errors import BasisChangeError, DimensionMismatchError, ParametricError
 from .scalars import _F1, ONE, ZERO, Coeffish, Poly, as_poly
 
 _SINGULAR = "change of basis is singular (determinant 0)"
-
-# a sparse matrix row {column: nonzero scalar}, the scalars Fraction or Poly
-Row = Mapping[int, Coeffish]
 
 
 def _row_times(row: Row, m: Sequence[Row]) -> dict:
@@ -78,7 +75,7 @@ def inverse_constant(m: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Frac
     ech = Echelon(2 * n)
     for i, row in enumerate(m):
         ech.add({**row, n + i: _F1})
-    if ech.order != list(range(n)):
+    if sorted(ech.rows) != list(range(n)):
         return None
     rows = ech.reduced()
     return [{j - n: x for j, x in rows[i].items() if j >= n} for i in range(n)]

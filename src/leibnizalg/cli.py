@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .algfile import parse_algebra, parse_change, serialize_algebra
+from .algfile import check_exponents, parse_algebra, parse_change, serialize_algebra
 from .core import AlgebraTable, format_element
 from .errors import AlgebraError, DimensionMismatchError
 
@@ -190,6 +190,7 @@ def _cmd_constraints(args) -> int:
     from .analysis import extract_constraints
 
     constraints = extract_constraints(_read_table(args.file))
+    check_exponents(constraints)
     if args.porcelain:
         print(f"count\t{len(constraints)}")
         for line in constraints.lines():

@@ -28,9 +28,9 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .core import AlgebraTable, Element, Matrix, Record, scale_table, scaled_residual
+from .core import AlgebraTable, Element, Record, Row, scale_table, scaled_residual
 from .errors import AdmissibilityError, DimensionMismatchError, ParametricError
-from .scalars import ZERO, Poly, as_poly
+from .scalars import Poly, as_poly
 
 Rat = Fraction | int
 
@@ -79,22 +79,22 @@ def _module_action(m: int) -> dict[str, dict[tuple[int, int], int]]:
     }
 
 
-def make_sl2_module(m: int) -> tuple[tuple[str, ...], Matrix, Matrix, Matrix]:
+def make_sl2_module(m: int) -> tuple[tuple[str, ...], list[Row], list[Row], list[Row]]:
     """The irreducible weight-m right module for sl2.
 
-    Returns (basis names, E, F, H): matrices of right multiplication by
-    e, f and h on coordinate columns of (x0..xm). They satisfy
+    Returns (basis names, E, F, H): the matrices of right multiplication by
+    e, f and h on coordinate columns of (x0..xm), as sparse rows (core.Row):
+    row r maps column c to the coefficient of x_r in [x_c, g]. They satisfy
     H = F.E - E.F, H.E - E.H = 2E and H.F - F.H = -2F.
     """
     if m < 0:
         raise AdmissibilityError("module weight must be a nonnegative integer")
-    every = range(m + 1)
-    action = _module_action(m)
-    e, f, h = (
-        tuple(tuple(Poly.const(x[r, c]) if (r, c) in x else ZERO for c in every) for r in every)
-        for x in (action["e"], action["f"], action["h"])
-    )
-    return module_basis(m), e, f, h
+    mats: dict[str, list[dict[int, Poly]]] = {}
+    for g, entries in _module_action(m).items():
+        rows = mats[g] = [{} for _ in range(m + 1)]
+        for (r, c), x in entries.items():
+            rows[r][c] = Poly.const(x)
+    return module_basis(m), mats["e"], mats["f"], mats["h"]
 
 
 def _module_products(m: int) -> dict[tuple[str, str], dict[str, Rat]]:
@@ -103,12 +103,13 @@ def _module_products(m: int) -> dict[tuple[str, str], dict[str, Rat]]:
 
 
 def make_dzhumadildaev(
-    g: AlgebraTable, module: Sequence[str], action: Mapping[str, Matrix]
+    g: AlgebraTable, module: Sequence[str], action: Mapping[str, Sequence[Row]]
 ) -> AlgebraTable:
     """Adjoin a right module to a Lie algebra as a zero-square block.
 
     Products: [g, g'] from the Lie table, [m, g_i] = action[g_i] applied to
-    m, and [g, m] = [m, m'] = 0. The result is a Leibniz algebra exactly
+    m, and [g, m] = [m, m'] = 0; each action matrix is sparse rows, as
+    make_sl2_module gives them. The result is a Leibniz algebra exactly
     when R_[gi,gj] = R_gj . R_gi - R_gi . R_gj for every pair, which is
     validated here: that is the Leibniz identity at (x, gi, gj) for every
     module vector x, and at every other triple the residual is zero, since
@@ -130,12 +131,13 @@ def make_dzhumadildaev(
     dim = n + mdim
     # acted[c][i] holds the nonzero entries of column c of action[g_i]: [module[c], g_i]
     acted: list[list[dict[int, Poly]]] = [[{} for _ in range(n)] for _ in range(mdim)]
+    columns = range(mdim)
     for i, gi in enumerate(g.basis):
         mat = action[gi]
-        if len(mat) != mdim or any(len(row) != mdim for row in mat):
+        if len(mat) != mdim or any(c not in columns for row in mat for c in row):
             raise DimensionMismatchError("action matrix has the wrong shape")
         for r, row in enumerate(mat):
-            for c, x in enumerate(row):
+            for c, x in row.items():
                 if x:
                     acted[c][i][n + r] = as_poly(x)
     rows = [{j: Element.of(dim, e.nonzero) for j, e in row.items()} for row in g.rows]

@@ -40,7 +40,8 @@ from operator import attrgetter
 from .errors import DimensionMismatchError, MissingParameterError, ParametricError
 from .scalars import _F0, ONE, ZERO, Coeffish, Mono, Poly, as_poly, format_term, mono_packing, _join_terms
 
-Matrix = tuple[tuple[Poly, ...], ...]
+# a sparse matrix row {column: nonzero scalar}, the scalars Fraction or Poly
+Row = Mapping[int, Coeffish]
 # a constant vector {coordinate: nonzero value}; absent coordinates are zero
 SparseVec = dict[int, Fraction]
 # constants()[i][j], for the j with [b_i, b_j] != 0, lists its nonzero (k, coefficient) pairs

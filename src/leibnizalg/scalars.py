@@ -16,8 +16,9 @@ Conventions fixed here and used everywhere else:
   wins). Under this order a proper divisor is always smaller.
 * The canonical term order of a polynomial is ascending, so constants and
   low-degree terms print first: `l - a*l`, `1 + 2*a + a^2`.
-* normalize_primitive divides by the rational content and flips the sign
-  so that the first coefficient in canonical (ascending) order is positive.
+* primitive_terms, which extract_constraints runs on each residual
+  coordinate, divides integer terms by their gcd and makes the coefficient
+  of the first monomial in canonical (ascending) order positive.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import MissingParameterError
 
@@ -329,20 +330,6 @@ def primitive_terms(terms: Mapping[object, int], lead: object) -> dict:
     if terms[lead] < 0:
         g = -g
     return {mono: c // g for mono, c in terms.items()}
-
-
-def normalize_primitive(p: Poly) -> Poly:
-    """Divide by the rational content and fix the sign.
-
-    The result has integer coefficients with gcd 1 and a positive first
-    coefficient in canonical (ascending) term order. Raises on zero.
-    """
-    if not p:
-        raise ValueError("cannot normalize the zero polynomial")
-    d = lcm(*(c.denominator for c in p.terms.values()))
-    scaled = {mono: c.numerator * (d // c.denominator) for mono, c in p.terms.items()}
-    prim = primitive_terms(scaled, min(scaled, key=MONO_KEY))
-    return Poly({mono: Fraction(c) for mono, c in prim.items()})
 
 
 def poly_sort_key(p: Poly):

@@ -11,9 +11,9 @@ names import this module when first called.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .core import AlgebraTable, Element, Record, SparseVec, sparse, sparse_element, symmetric_pairs
 from .errors import DimensionMismatchError, NotAnIdealError, ParametricError
@@ -43,42 +43,49 @@ class Echelon:
     canonical reduced row echelon form whatever the order of arrival.
     """
 
-    __slots__ = ("ambient", "rows", "order")
+    __slots__ = ("ambient", "rows")
 
     def __init__(self, ambient: int):
         self.ambient = ambient
-        self.rows: dict[int, SparseVec] = {}
-        self.order: list[int] = []  # pivot columns, ascending
+        self.rows: dict[int, SparseVec] = {}  # pivot column -> its row
 
     @classmethod
     def of(cls, sub: "Subspace") -> "Echelon":
         ech = cls(sub.ambient)
         # copies: reduced() back-substitutes in place
         ech.rows = {p: dict(r) for r, p in zip(sub.rows, sub.pivots)}
-        ech.order = list(sub.pivots)
         return ech
 
     @property
     def rank(self) -> int:
-        return len(self.order)
+        return len(self.rows)
 
     def reduce(self, vec: SparseVec | Iterable[tuple[int, Fraction]]) -> SparseVec:
         """What is left of vec after clearing every pivot column.
 
-        vec holds no zero values. Pivots are cleared in ascending order:
-        a row touches no column left of its pivot, so no cleared column
-        fills in again. The result is empty exactly when vec is in the span.
+        vec holds no zero values. The pivots in its support are cleared in
+        ascending order, from a heap: a row touches no column left of its
+        pivot, so no cleared column fills in again, and a pivot column that
+        fills in is pushed. The result is empty exactly when vec is in the span.
         """
         v = dict(vec)
-        for p in self.order:
+        rows = self.rows
+        heap = [k for k in v if k in rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
             c = v.get(p)
-            if c:
-                _subtract(v, c, self.rows[p])
+            if c:  # else cancelled, or pushed twice
+                row = rows[p]
+                for k in row:
+                    if k not in v and k in rows:
+                        heappush(heap, k)
+                _subtract(v, c, row)
         return v
 
     def add(self, vec: SparseVec | Iterable[tuple[int, Fraction]]) -> SparseVec | None:
         """Insert vec; returns its new row, or None when vec is dependent."""
-        if len(self.order) == self.ambient:
+        if len(self.rows) == self.ambient:
             return None
         v = self.reduce(vec)
         if not v:
@@ -89,13 +96,12 @@ class Echelon:
             inv = _F1 / lead
             v = {k: x * inv for k, x in v.items()}
         self.rows[p] = v
-        insort(self.order, p)
         return v
 
     def reduced(self) -> dict[int, SparseVec]:
         """Back-substitute in place; every row then has zeros at other pivots."""
         done: dict[int, SparseVec] = {}
-        for p in reversed(self.order):
+        for p in sorted(self.rows, reverse=True):
             row = self.rows[p]
             for q in [q for q in row if q in done]:
                 _subtract(row, row[q], done[q])
@@ -104,7 +110,8 @@ class Echelon:
 
     def subspace(self) -> "Subspace":
         rows = self.reduced()
-        return Subspace(self.ambient, tuple(dict(sorted(rows[p].items())) for p in self.order), tuple(self.order))
+        pivots = tuple(sorted(rows))
+        return Subspace(self.ambient, tuple(dict(sorted(rows[p].items())) for p in pivots), pivots)
 
 
 class Subspace(Record):
@@ -120,16 +127,9 @@ class Subspace(Record):
     def zero(ambient: int) -> "Subspace":
         return Subspace(ambient, (), ())
 
-    @staticmethod
-    def full(ambient: int) -> "Subspace":
-        return Subspace(ambient, tuple({i: _F1} for i in range(ambient)), tuple(range(ambient)))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def contains(self, coords: Sequence[Fraction]) -> bool:
-        return not Echelon.of(self).reduce(sparse(coords))
 
     def as_elements(self) -> tuple[Element, ...]:
         return tuple(sparse_element(self.ambient, r) for r in self.rows)
@@ -217,11 +217,6 @@ class ProfileReport(Record):
         d1, d2 = p1.as_dict(), p2.as_dict()
         separating = tuple(k for k in d1 if d1[k] != d2[k])
         return cls(DISTINGUISHED if separating else INCONCLUSIVE, p1, p2, separating)
-
-
-def compare_profiles(t1: AlgebraTable, t2: AlgebraTable) -> ProfileReport:
-    """Compute both invariant profiles and compare them (ProfileReport.compare)."""
-    return ProfileReport.compare(t1.invariant_profile(), t2.invariant_profile())
 
 
 # ---------------------------------------------------------------------------

@@ -267,8 +267,8 @@ def mono_cmp(a, b) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dense matrices of Poly entries: the references that sparse rows are checked
-# against, and the module actions of make_sl2_module
+# dense matrices of Poly entries: the references that sparse rows, such as
+# the module actions of make_sl2_module, are checked against
 
 
 def mat_identity(n: int):
@@ -310,15 +310,26 @@ def dense(rows, n: int):
     return mat_from_rows([[row.get(j, 0) for j in range(n)] for row in rows])
 
 
+def sparse_matrix(mat):
+    """The sparse {column: entry} rows of a dense matrix, zero entries dropped."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+def full_space(n: int) -> L.Subspace:
+    """All of F^n: the span of the n unit vectors."""
+    return L.span([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], n)
+
+
 def change_matrix(change: L.BasisChange):
     """The dense matrix of a change: row p holds the coordinates of c_p."""
     return tuple(row.coords for row in change.rows)
 
 
 def submodule_closure(ops, seed: L.Element) -> L.Subspace:
-    """Smallest subspace containing seed and stable under all operators."""
+    """Smallest subspace containing seed and stable under all operators,
+    each given as sparse rows."""
     ambient = seed.dim
-    const_ops = [mat_constant(op) for op in ops]
+    const_ops = [mat_constant(dense(op, ambient)) for op in ops]
     current = L.span([seed], ambient)
     while True:
         rows = [tuple(c.constant_value() for c in v.coords) for v in current.as_elements()]

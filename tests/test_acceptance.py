@@ -15,7 +15,8 @@ from leibnizalg.basis import BasisChange
 from leibnizalg.scalars import Poly
 
 from conftest import (
-    CRITERION_LINES, bracket, constant_fixture_tables, mat_mul, mat_sub, random_table, submodule_closure,
+    CRITERION_LINES, bracket, constant_fixture_tables, dense, full_space, mat_mul, mat_sub, random_table,
+    submodule_closure,
 )
 
 
@@ -97,7 +98,7 @@ def test_criterion_02_extension_grid():
 def test_criterion_03_module_relations():
     def body():
         for m in range(11):
-            names, e, f, h = L.make_sl2_module(m)
+            e, f, h = (dense(x, m + 1) for x in L.make_sl2_module(m)[1:])
             if h != mat_sub(mat_mul(f, e), mat_mul(e, f)):
                 return False, f"H != F.E - E.F at m={m}"
             if mat_sub(mat_mul(h, e), mat_mul(e, h)) != tuple(
@@ -269,7 +270,7 @@ def test_criterion_08_adjoined_module_algebras():
                 seed = L.element_from([1 if i == k else 0 for i in range(m + 1)])
                 if submodule_closure((e, f, h), seed).dim != m + 1:
                     return False, f"m={m}: x{k} does not generate the module"
-            derived = q.product_span(L.Subspace.full(q.dim), L.Subspace.full(q.dim))
+            derived = q.product_span(full_space(q.dim), full_space(q.dim))
             if derived.dim == ideal.dim:
                 return False, f"m={m}: dim [Q,Q] equals dim I"
         return True, "Q(sl2, V(m)) for m in 1..3: Leibniz, module ideal, sl2 quotient, irreducible"
@@ -343,14 +344,14 @@ def test_criterion_11_parser_round_trip():
 def test_criterion_12_profile_separation():
     def body():
         padded = L.make_direct_sum(L.make_r2(), L.make_abelian(1))
-        report_ = L.compare_profiles(L.make_sl2(), padded)
+        report_ = L.ProfileReport.compare(L.make_sl2().invariant_profile(), padded.invariant_profile())
         if not report_.distinguished:
             return False, "sl2 vs r2+abelian is not distinguished"
         points = [(1, 0, 1), (0, 1, 1), (0, 0, 1), (0, 0, 2)]
         tables = [L.make_L_family(*p) for p in points]
         for i in range(len(tables)):
             for j in range(i + 1, len(tables)):
-                r = L.compare_profiles(tables[i], tables[j])
+                r = L.ProfileReport.compare(tables[i].invariant_profile(), tables[j].invariant_profile())
                 if r.status not in (L.DISTINGUISHED, L.INCONCLUSIVE):
                     return False, f"unexpected status {r.status}"
                 if r.status != L.INCONCLUSIVE:

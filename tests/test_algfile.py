@@ -109,6 +109,39 @@ def test_exponents_above_the_cap_are_refused(capsys, tmp_path):
     assert out.out == "" and "line 5: exponent" in out.err
 
 
+ABOVE_CAP = (
+    f"error: exponent {2 * MAX_EXPONENT} of 'a' is above MAX_EXPONENT = {MAX_EXPONENT}; "
+    "the output would not read back\n"
+)
+
+
+def test_outputs_above_the_cap_are_refused(capsys, tmp_path):
+    # exponents add under products: the residual at (z, z, z) of a^10000*z is a^20000*z
+    path = tmp_path / "t.alg"
+    path.write_text(f"algebra t\ndim 1\nparams a\nbasis z\n[z,z] = a^{MAX_EXPONENT}*z\n", encoding="utf-8")
+    for porcelain in ((), ("--porcelain",)):
+        assert cli.main(["constraints", str(path), *porcelain]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", ABOVE_CAP)
+    # and with the degree of a change: [y', y'] of y' = y + a^10000*x holds a^20000*x
+    table = tmp_path / "xy.alg"
+    table.write_text("algebra t\ndim 2\nparams a\nbasis x y\n[x,x] = x\n[x,y] = x\n", encoding="utf-8")
+    change = tmp_path / "c.txt"
+    change.write_text(f"change c\ndim 2\nparams a\nbasis x y\nnew y = y + a^{MAX_EXPONENT}*x\n", encoding="utf-8")
+    assert cli.main(["change-basis", str(table), str(change)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", ABOVE_CAP)
+
+
+def test_constraint_at_the_cap_reads_back(capsys, tmp_path):
+    path = tmp_path / "t.alg"
+    path.write_text(f"algebra t\ndim 1\nparams a\nbasis z\n[z,z] = a^{MAX_EXPONENT // 2}*z\n", encoding="utf-8")
+    assert cli.main(["constraints", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == f"a^{MAX_EXPONENT}\n"
+    assert parse_scalar(out, ("a",)) == Poly({(("a", MAX_EXPONENT),): Fraction(1)})
+
+
 def test_serialize_zero_table_is_header_only():
     t = L.make_abelian(3)
     text = L.serialize_algebra(t)

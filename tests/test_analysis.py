@@ -12,7 +12,7 @@ import leibnizalg as L
 from leibnizalg import scalars
 from leibnizalg.basis import BasisChange, det_and_adjugate
 from leibnizalg.core import sparse
-from leibnizalg.scalars import Poly, _join_terms, format_term, normalize_primitive, poly_sort_key
+from leibnizalg.scalars import Poly, _join_terms, format_term, poly_sort_key, primitive_terms
 
 from conftest import (
     change_matrix,
@@ -145,6 +145,19 @@ def test_verify_isomorphism_negative_names_the_entry():
     assert "maps to 2*x0, expected x0" in verdict.detail
 
 
+@pytest.mark.parametrize("mu", [1, 5, Fraction(-2, 3)])
+@pytest.mark.parametrize("a", [1, 2, Fraction(-3, 7), Fraction(1, 9)])
+def test_mu_is_removable_when_a_is_nonzero(mu, a):
+    # L(0,mu,a) = L(0,0,a) for a != 0: the sl2 shift by -(mu/a) times the module
+    # vector of the same weight cancels [e|h|f, y2] against [x_k, y2] = a*x_k
+    t1, t2 = L.make_L_family(0, mu, a), L.make_L_family(0, 0, a)
+    s = Fraction(mu) / a
+    change = BasisChange.from_assignments(
+        t1, {"e": {"e": 1, "x0": -s}, "h": {"h": 1, "x1": -s}, "f": {"f": 1, "x2": -s / 2}}
+    )
+    assert L.verify_isomorphism(t1, t2, change).passed
+
+
 def test_identity_is_not_an_isomorphism_across_the_a_parameter():
     # L(0,0,0) and L(0,0,1) agree everywhere except [x_k, y2] = a*x_k
     verdict = L.verify_isomorphism(
@@ -187,7 +200,7 @@ def test_profile_is_basis_invariant():
 
 def test_compare_profiles_distinguishes(sl2):
     padded = L.make_direct_sum(L.make_r2(), L.make_abelian(1))
-    report = L.compare_profiles(sl2, padded)
+    report = L.ProfileReport.compare(sl2.invariant_profile(), padded.invariant_profile())
     assert report.status == L.DISTINGUISHED
     assert report.distinguished
     assert "derived_series" in report.separating
@@ -196,7 +209,7 @@ def test_compare_profiles_distinguishes(sl2):
 def test_compare_profiles_inconclusive():
     t1 = L.make_L_family(1, 0, 1)
     t2 = L.make_L_family(0, 1, 1)
-    report = L.compare_profiles(t1, t2)
+    report = L.ProfileReport.compare(t1.invariant_profile(), t2.invariant_profile())
     assert report.status == L.INCONCLUSIVE
     assert report.separating == ()
     assert not report.distinguished
@@ -410,9 +423,12 @@ def test_constraint_set_is_held_in_canonical_order(spec):
     lambda n: rational_polys(tuple(f"p{i}" for i in range(n)))
 ))
 def test_normalize_primitive_matches_reference(p):
-    got = normalize_primitive(p)
-    assert got == ref_normalize_primitive(p)
-    assert all(type(c) is Fraction for c in got.terms.values())
+    # primitive_terms on the integer terms of the cleared polynomial
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    terms = {mono: int(c * d) for mono, c in p.terms.items()}
+    got = primitive_terms(terms, min(terms, key=REF_MONO_KEY))
+    assert all(type(c) is int for c in got.values())
+    assert Poly({mono: Fraction(c) for mono, c in got.items()}) == ref_normalize_primitive(p)
 
 
 # ---------------------------------------------------------------------------

@@ -680,10 +680,10 @@ ALL_NAMES = [
     "ChangeDocument", "ConstraintSet", "DISTINGUISHED", "DimensionMismatchError", "Element",
     "FamilySpec", "INCONCLUSIVE", "InvariantProfile", "MissingParameterError", "NotAnIdealError",
     "ONE", "ParametricError", "ParseError", "Poly", "ProfileReport", "QuotientMap", "Subspace",
-    "Verdict", "ZERO", "apply_basis_change", "as_poly", "compare_profiles", "element_from",
+    "Verdict", "ZERO", "apply_basis_change", "as_poly", "element_from",
     "extract_constraints", "format_element", "make_L_family", "make_L_prefamily", "make_abelian",
     "make_direct_sum", "make_dzhumadildaev", "make_generic_family", "make_module_extension",
-    "make_r2", "make_sl2", "make_sl2_module", "normalize_primitive", "parse_algebra",
+    "make_r2", "make_sl2", "make_sl2_module", "parse_algebra",
     "parse_change", "serialize_algebra", "span", "verify_isomorphism", "zero_element",
 ]
 

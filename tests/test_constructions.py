@@ -5,7 +5,7 @@ import pytest
 import leibnizalg as L
 from leibnizalg.scalars import Poly
 
-from conftest import bracket, mat_mul, mat_sub
+from conftest import bracket, dense, mat_mul, mat_sub
 
 
 def test_sl2_table(sl2):
@@ -54,6 +54,11 @@ def test_direct_sum_rejects_parametric(prefamily, sl2):
 def test_module_matrices_m2():
     names, e, f, h = L.make_sl2_module(2)
     assert names == ("x0", "x1", "x2")
+    # sparse rows: row r maps column c to the coefficient of x_r in [x_c, g]
+    assert e == [{1: -2}, {2: -2}, {}]
+    assert f == [{}, {0: 1}, {1: 1}]
+    assert h == [{0: 2}, {}, {2: -2}]
+    e, f, h = (dense(x, 3) for x in (e, f, h))
     # H diagonal m-2k; F shifts down; E shifts up with -k(m+1-k)
     assert [h[k][k] for k in range(3)] == [2, 0, -2]
     assert f[1][0] == 1 and f[2][1] == 1
@@ -62,7 +67,7 @@ def test_module_matrices_m2():
 
 @pytest.mark.parametrize("m", range(11))
 def test_module_operator_identities(m):
-    names, e, f, h = L.make_sl2_module(m)
+    e, f, h = (dense(x, m + 1) for x in L.make_sl2_module(m)[1:])
     assert h == mat_sub(mat_mul(f, e), mat_mul(e, f))
     he_eh = mat_sub(mat_mul(h, e), mat_mul(e, h))
     assert he_eh == tuple(tuple(2 * x for x in row) for row in e)
@@ -99,9 +104,10 @@ def test_dzhumadildaev_validation():
         L.make_dzhumadildaev(L.make_sl2(), ("e", "x"), action)
     with pytest.raises(L.DimensionMismatchError, match="one matrix per"):
         L.make_dzhumadildaev(L.make_sl2(), names, {"e": e, "f": f})
-    bad_shape = {"e": e, "f": f, "h": ((Poly.const(1),),)}
-    with pytest.raises(L.DimensionMismatchError, match="shape"):
-        L.make_dzhumadildaev(L.make_sl2(), names, bad_shape)
+    # one row for a two-dimensional module, then a column outside it
+    for bad_h in ([{0: Poly.const(1)}], [{}, {2: Poly.const(1)}], [{}, {-1: Poly.const(1)}]):
+        with pytest.raises(L.DimensionMismatchError, match="wrong shape"):
+            L.make_dzhumadildaev(L.make_sl2(), names, {"e": e, "f": f, "h": bad_h})
     # swapping E and F is not a right action for these products
     with pytest.raises(L.AdmissibilityError, match=r"fails at \["):
         L.make_dzhumadildaev(L.make_sl2(), names, {"e": f, "f": e, "h": h})

@@ -1,11 +1,14 @@
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from leibnizalg import MissingParameterError, ONE, Poly, ZERO, as_poly, normalize_primitive
-from leibnizalg.scalars import MONO_KEY, format_term, mono_mul, mono_packing, mono_str, poly_sort_key
+from leibnizalg import MissingParameterError, ONE, Poly, ZERO, as_poly
+from leibnizalg.scalars import (
+    MONO_KEY, format_term, mono_mul, mono_packing, mono_str, poly_sort_key, primitive_terms,
+)
 
 from conftest import mono_cmp
 
@@ -76,22 +79,33 @@ def test_mono_order_graded_lex():
     assert sorted([ab, (), aa, b], key=MONO_KEY) == [(), b, ab, aa]
 
 
+def int_terms(p):
+    """The terms of a Poly with integer coefficients, as primitive_terms takes them."""
+    return {mono: int(c) for mono, c in p.terms.items()}
+
+
+def as_poly_terms(terms):
+    """The Poly with these integer terms."""
+    return Poly({mono: Fraction(c) for mono, c in terms.items()})
+
+
 def test_normalize_primitive_spec_example():
-    p = -3 * LAM + 3 * LAM * A
-    assert normalize_primitive(p) == LAM - LAM * A
-    assert str(normalize_primitive(p)) == "l - a*l"
+    # primitive_terms on -3*l + 3*a*l, led by l, the first monomial in canonical order
+    lead = (("l", 1),)
+    got = primitive_terms(int_terms(-3 * LAM + 3 * LAM * A), lead)
+    assert as_poly_terms(got) == LAM - LAM * A
+    assert str(as_poly_terms(got)) == "l - a*l"
 
 
 def test_normalize_primitive_properties():
-    p = 6 * A * B - 4 * B
-    # content 2 comes out; the minimal monomial (b) gets the positive sign
-    n = normalize_primitive(p)
-    assert n == 2 * B - 3 * A * B
-    assert str(n) == "2*b - 3*a*b"
-    assert normalize_primitive(n) == n
-    assert normalize_primitive(Fraction(-7, 3) * p) == n
-    with pytest.raises(ValueError):
-        normalize_primitive(ZERO)
+    terms = int_terms(6 * A * B - 4 * B)
+    lead = (("b", 1),)
+    # content 2 comes out; the lead monomial (b) gets the positive sign
+    n = primitive_terms(terms, lead)
+    assert n == int_terms(2 * B - 3 * A * B)
+    assert str(as_poly_terms(n)) == "2*b - 3*a*b"
+    assert primitive_terms(n, lead) == n
+    assert primitive_terms({mono: -7 * c for mono, c in terms.items()}, lead) == n
 
 
 def test_poly_sort_key_is_deterministic():
@@ -138,9 +152,13 @@ def test_evaluate_is_a_homomorphism(p, q, point):
 def test_normalize_kills_scale(p, num):
     if p == ZERO:
         return
-    scale = Fraction(num, 7)
-    assert normalize_primitive(scale * p) == normalize_primitive(p)
-    assert normalize_primitive(-scale * p) == normalize_primitive(p)
+    terms = int_terms(p)
+    lead = min(terms, key=MONO_KEY)
+    prim = primitive_terms(terms, lead)
+    assert gcd(*prim.values()) == 1 and prim[lead] > 0
+    assert primitive_terms(prim, lead) == prim
+    for scale in (num, -num):
+        assert primitive_terms({mono: scale * c for mono, c in terms.items()}, lead) == prim
 
 
 # names with many shared prefixes ("a" < "a0" < "a_" < "ab" < "b"), the case

@@ -6,7 +6,9 @@ make_dzhumadildaev, serialize_algebra, format_element and constants(). They
 read an element through its dense coords view.
 """
 
+import cProfile
 import hashlib
+import pstats
 import random
 import re
 import tracemalloc
@@ -17,10 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 import leibnizalg as L
 from leibnizalg import cli, spaces
+from leibnizalg.basis import inverse_constant
 from leibnizalg.scalars import Poly, _join_terms, format_term
 
 from conftest import (
-    mat_from_rows, mat_mul, mat_sub, parametric_tables, random_table, rational_polys, sparse_constant_tables,
+    dense, mat_from_rows, mat_mul, mat_sub, parametric_tables, random_table, rational_polys, sparse_constant_tables,
+    sparse_matrix,
 )
 
 
@@ -79,11 +83,11 @@ def ref_module_failure(g, action):
 
 
 def perturbed_action(rng: random.Random, m: int, changes: int = 1) -> dict:
-    """The weight-m action with `changes` entries changed, each in a random
-    matrix, sometimes by a multiple of a parameter, or (one time in six) left
-    alone."""
+    """The weight-m action, as dense matrices, with `changes` entries
+    changed, each in a random matrix, sometimes by a multiple of a
+    parameter, or (one time in six) left alone."""
     _, e, f, h = L.make_sl2_module(m)
-    action = {"e": e, "f": f, "h": h}
+    action = {"e": dense(e, m + 1), "f": dense(f, m + 1), "h": dense(h, m + 1)}
     for _ in range(changes if rng.randrange(6) else 0):
         sym = rng.choice("ehf")
         r, c = rng.randrange(m + 1), rng.randrange(m + 1)
@@ -94,6 +98,11 @@ def perturbed_action(rng: random.Random, m: int, changes: int = 1) -> dict:
         rows[r][c] = delta if rng.randrange(3) == 0 else rows[r][c] + delta
         action[sym] = tuple(tuple(row) for row in rows)
     return action
+
+
+def sparse_action(action):
+    """The dense action matrices as the sparse rows make_dzhumadildaev takes."""
+    return {s: sparse_matrix(x) for s, x in action.items()}
 
 
 def test_module_check_matches_dense_reference():
@@ -107,7 +116,7 @@ def test_module_check_matches_dense_reference():
         action = perturbed_action(rng, m, changes)
         want = ref_module_failure(sl2, action)
         try:
-            L.make_dzhumadildaev(sl2, L.make_sl2_module(m)[0], action)
+            L.make_dzhumadildaev(sl2, L.make_sl2_module(m)[0], sparse_action(action))
             got = None
         except L.AdmissibilityError as exc:
             got = str(exc)
@@ -155,9 +164,17 @@ def test_module_check_multiplies_no_poly(monkeypatch):
     assert calls == []
 
 
+def test_module_action_is_built_as_sparse_rows():
+    # as three dense (m+1) x (m+1) Poly matrices, the action and its check peaked near 11 MB
+    t, used = peak(lambda: L.make_dzhumadildaev(L.make_sl2(), *sl2_module_action(600)))
+    assert t.dim == 604 and t.check_leibniz().passed
+    assert used < 5_000_000, used
+
+
 def test_module_check_is_exact_on_parametric_entries():
     sl2 = L.make_sl2()
-    names, e, f, h = L.make_sl2_module(2)
+    names, *mats = L.make_sl2_module(2)
+    e, f, h = (dense(x, 3) for x in mats)
     p = Poly.param("p")
     # conjugating by the unipotent I + p*N, with N^2 = 0, keeps a right module
     u = mat_from_rows([[1, 0, p], [0, 1, 0], [0, 0, 1]])
@@ -167,13 +184,13 @@ def test_module_check_is_exact_on_parametric_entries():
     assert ref_module_failure(sl2, conj) is None
     # the check passes; the table then holds the undeclared parameter p
     with pytest.raises(L.DimensionMismatchError, match="undeclared parameters"):
-        L.make_dzhumadildaev(sl2, names, conj)
+        L.make_dzhumadildaev(sl2, names, sparse_action(conj))
     # p^2 - p on the diagonal of H vanishes at p = 0 and p = 1 only
     bent = {"e": e, "f": f, "h": ((h[0][0] + p * p - p, *h[0][1:]), *h[1:])}
     want = ref_module_failure(sl2, bent)
     assert want is not None
     with pytest.raises(L.AdmissibilityError, match=re.escape(f"fails at {want}")):
-        L.make_dzhumadildaev(sl2, names, bent)
+        L.make_dzhumadildaev(sl2, names, sparse_action(bent))
 
 
 def check_against_references(t):
@@ -325,3 +342,17 @@ def test_quotient_reduces_only_nonzero_brackets(monkeypatch):
     assert quotient.dim == 0
     # [z_i, z_j] is zero unless j = i, so each ideal row has one nonzero bracket per side
     assert len(calls) == 2 * n
+
+
+def test_identity_inverse_reduces_only_the_support():
+    # reduce used to look up every pivot for each row it inserted: 179,700 dict.get calls here
+    n = 600
+    identity = [{i: Fraction(1)} for i in range(n)]
+    profile = cProfile.Profile()
+    inverse = profile.runcall(inverse_constant, identity)
+    gets = sum(
+        calls for (_, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+        if name == "<method 'get' of 'dict' objects>"
+    )
+    assert inverse == identity
+    assert gets < n, gets
