@@ -9,12 +9,14 @@ ignored, whitespace inside a line is free):
     basis NAME+
     [NAME,NAME] = EXPR      (zero or more; unlisted products are zero)
 
-EXPR is `0` or terms joined by `+` and `-`. A term is an optional rational
-coefficient (INT or INT/INT) and an optional monomial (param factors
-`name` or `name^INT`, INT <= MAX_EXPONENT), each followed by `*`, then a
-basis symbol: `2*e`, `x0`, `l*x0`, `-1/2*a*b^2*x1`. Scalar expressions
-(used for constraint output) are the same minus the trailing basis symbol.
-Output keeps to the same exponent cap (check_exponents), so it reads back.
+EXPR is `0` or terms joined by `+` and `-`. A sign must be followed by a
+term; a run of signs is negative when it holds an odd number of `-`. A
+term is an optional rational coefficient (INT or INT/INT) and an optional
+monomial (param factors `name` or `name^INT`, INT <= MAX_EXPONENT), each
+followed by `*`, then a basis symbol: `2*e`, `x0`, `l*x0`, `-1/2*a*b^2*x1`.
+Scalar expressions (constraint output, the CLI's rational arguments) are
+the same minus the trailing basis symbol. Output keeps to the same
+exponent cap (check_exponents), so it reads back.
 
 A change-of-basis document uses the same header with `change` in place of
 `algebra`, followed by `new NAME = EXPR` lines giving new basis vectors in
@@ -30,7 +32,7 @@ import re
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .core import AlgebraTable, Element, Record, format_element, zero_element
+from .core import AlgebraTable, Element, Record, format_element
 from .errors import AlgebraError, ParseError
 from .scalars import ZERO, Poly, mono_mul
 
@@ -39,6 +41,7 @@ _RATIONAL_RE = re.compile(r"\d+(?:/\d+)?\Z")
 _POWER_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?\Z")
 _PRODUCT_RE = re.compile(r"\[([^],]+),([^],]+)\]=(.+)\Z")
 _NEW_RE = re.compile(r"new\s+(\S+?)\s*=\s*(.+)\Z")
+_TERM_RE = re.compile(r"([+-]*)([^+-]+)")
 
 MAX_EXPONENT = 10_000  # of `name^INT`; one in the billions prints at once but never evaluates
 
@@ -59,25 +62,15 @@ def _int(digits: str, lineno: int) -> int:
 
 
 def _split_terms(expr: str, lineno: int) -> list[tuple[int, str]]:
-    """Split a whitespace-free expression into (sign, body) chunks."""
-    out: list[tuple[int, str]] = []
-    sign = 1
-    body = ""
-    for ch in expr:
-        if ch in "+-":
-            if body:
-                out.append((sign, body))
-                body = ""
-                sign = 1
-            if ch == "-":
-                sign = -sign
-        else:
-            body += ch
-    if body:
-        out.append((sign, body))
-    elif sign != 1 or not out:
+    """Split a nonempty whitespace-free expression into (sign, body) chunks.
+
+    A chunk is a run of signs and the body after it; it is negative when the
+    run holds an odd number of `-`. Every string not ending in a sign is a
+    sequence of chunks, so a trailing sign is the one malformed case here.
+    """
+    if expr[-1] in "+-":
         raise ParseError(lineno, f"malformed expression {expr!r}")
-    return out
+    return [(-1 if signs.count("-") % 2 else 1, body) for signs, body in _TERM_RE.findall(expr)]
 
 
 def _parse_term(
@@ -86,15 +79,15 @@ def _parse_term(
     params: tuple[str, ...],
     lineno: int,
     basis: dict[str, int] | None,
-) -> tuple[Poly, str | None]:
-    """One term -> (scalar, basis symbol). basis maps symbols to indices; None parses a bare scalar."""
+) -> tuple[Poly, int | None]:
+    """One term -> (scalar, coordinate index). basis maps symbols to indices; None parses a bare scalar."""
     factors = body.split("*")
     if any(not f for f in factors):
         raise ParseError(lineno, f"malformed term {body!r}")
-    symbol: str | None = None
+    k: int | None = None
     if basis is not None:
-        symbol = factors[-1]
-        if symbol not in basis:
+        k = basis.get(factors[-1])
+        if k is None:
             raise ParseError(lineno, f"term {body!r} must end in a basis symbol")
         factors = factors[:-1]
     coeff = Fraction(sign)
@@ -118,38 +111,29 @@ def _parse_term(
         if exp == 0:
             continue
         mono = mono_mul(mono, ((m.group(1), exp),))
-    return Poly({mono: coeff}) if coeff else ZERO, symbol
+    return Poly({mono: coeff}) if coeff else ZERO, k
+
+
+def _parse_expr(
+    text: str, params: tuple[str, ...], lineno: int, index: dict[str, int] | None
+) -> dict[int | None, Poly]:
+    """{coordinate index: scalar} of an expression over the basis given as
+    {symbol: index}; index None reads a bare scalar, kept under None."""
+    expr = re.sub(r"\s+", "", text)
+    if not expr:
+        raise ParseError(lineno, "empty expression")
+    coords: dict[int | None, Poly] = {}
+    if expr == "0":
+        return coords
+    for sign, body in _split_terms(expr, lineno):
+        poly, k = _parse_term(body, sign, params, lineno, index)
+        coords[k] = coords[k] + poly if k in coords else poly
+    return coords
 
 
 def parse_scalar(text: str, params: tuple[str, ...], lineno: int = 1) -> Poly:
     """Parse a scalar expression such as `l - 1/2*a*l`."""
-    expr = re.sub(r"\s+", "", text)
-    if not expr:
-        raise ParseError(lineno, "empty scalar expression")
-    if expr == "0":
-        return ZERO
-    total = ZERO
-    for sign, body in _split_terms(expr, lineno):
-        poly, _ = _parse_term(body, sign, params, lineno, basis=None)
-        total = total + poly
-    return total
-
-
-def _parse_element(
-    text: str, params: tuple[str, ...], index: dict[str, int], lineno: int
-) -> Element:
-    """An element over the basis given as {symbol: coordinate index}."""
-    expr = re.sub(r"\s+", "", text)
-    if not expr:
-        raise ParseError(lineno, "empty expression")
-    if expr == "0":
-        return zero_element(len(index))
-    coords: dict[int, Poly] = {}
-    for sign, body in _split_terms(expr, lineno):
-        poly, symbol = _parse_term(body, sign, params, lineno, basis=index)
-        k = index[symbol]
-        coords[k] = coords[k] + poly if k in coords else poly
-    return Element.of(len(index), coords)
+    return _parse_expr(text, params, lineno, None).get(None, ZERO)
 
 
 def _parse_names(rest: list[str], what: str, lineno: int) -> tuple[str, ...]:
@@ -228,7 +212,7 @@ def parse_algebra(text: str) -> AlgebraTable:
         if (left, right) in seen:
             raise ParseError(lineno, f"duplicate product [{left},{right}]")
         seen.add((left, right))
-        rows[index[left]][index[right]] = _parse_element(expr, params, index, lineno)
+        rows[index[left]][index[right]] = Element.of(dim, _parse_expr(expr, params, lineno, index))
     return AlgebraTable(name, dim, params, basis, rows)
 
 
@@ -276,5 +260,5 @@ def parse_change(text: str) -> ChangeDocument:
             raise ParseError(lineno, f"unknown basis symbol {symbol!r}")
         if symbol in assignments:
             raise ParseError(lineno, f"duplicate `new {symbol}` line")
-        assignments[symbol] = _parse_element(expr, params, index, lineno)
+        assignments[symbol] = Element.of(dim, _parse_expr(expr, params, lineno, index))
     return ChangeDocument(name, dim, params, basis, assignments)

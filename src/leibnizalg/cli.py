@@ -20,9 +20,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .algfile import check_exponents, parse_algebra, parse_change, serialize_algebra
+from .algfile import check_exponents, parse_algebra, parse_change, parse_scalar, serialize_algebra
 from .core import AlgebraTable, format_element
-from .errors import AlgebraError, DimensionMismatchError
+from .errors import AlgebraError, DimensionMismatchError, ParseError
 
 
 def _read(path: str) -> str:
@@ -51,9 +51,10 @@ def _read_change(path: str, t: AlgebraTable):
 
 
 def _rational(text: str) -> Fraction:
+    """A rational argument, read by the .alg scalar grammar: `p/q` with signs."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_scalar(text, ()).constant_value()
+    except ParseError:
         import argparse
 
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
@@ -157,6 +158,9 @@ def _cmd_construct(args) -> int:
         for flag, options in spec:
             sub.add_argument(flag, **options)
         ns = sub.parse_args(args.args)
+        for flag, _ in spec:  # argparse up to Python 3.12 reads `--flag=--` as [] and never calls its type
+            if getattr(ns, flag.lstrip("-").replace("-", "_")) == []:
+                sub.error(f"argument {flag}: expected one argument")
     table = build(constructions, ns)
     sys.stdout.write(serialize_algebra(table))
     return 0

@@ -123,10 +123,6 @@ class Subspace(Record):
     def __hash__(self) -> int:
         return hash((self.ambient, tuple(frozenset(r.items()) for r in self.rows), self.pivots))
 
-    @staticmethod
-    def zero(ambient: int) -> "Subspace":
-        return Subspace(ambient, (), ())
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -240,8 +236,12 @@ def product_span(t: AlgebraTable, left: Subspace, right: Subspace | None = None)
 
 
 def _basis_brackets(t: AlgebraTable, v: SparseVec) -> Iterator[tuple[str, int, SparseVec]]:
-    """("right", j, [v, b_j]) then ("left", j, [b_j, v]), for j in order."""
-    for j in range(t.dim):
+    """("right", j, [v, b_j]) then ("left", j, [b_j, v]), for j in order,
+    over the j where a stored product meets supp v; the rest are zero."""
+    rows = t.constants()
+    meets = {j for i in v for j in rows[i]}
+    meets.update(j for j, row in enumerate(rows) if not row.keys().isdisjoint(v.keys()))
+    for j in sorted(meets):
         unit = {j: _F1}
         yield "right", j, t.sparse_bracket(v, unit)
         yield "left", j, t.sparse_bracket(unit, v)
@@ -250,8 +250,8 @@ def _basis_brackets(t: AlgebraTable, v: SparseVec) -> Iterator[tuple[str, int, S
 def ideal_closure(t: AlgebraTable, seed: Subspace) -> Subspace:
     """Smallest two-sided ideal containing the seed subspace.
 
-    A worklist closure: every row the echelon gains is bracketed with
-    each basis vector on both sides exactly once.
+    A worklist closure: every row the echelon gains is bracketed once on
+    each side with each basis vector that a stored product pairs it with.
     """
     if seed.ambient != t.dim:
         raise DimensionMismatchError("seed lives in the wrong ambient dimension")

@@ -92,6 +92,41 @@ def test_parse_scalar():
         parse_scalar("q", ("a",))
 
 
+@pytest.mark.parametrize("tail", ["+", "++", "-", "+-"])
+def test_trailing_sign_is_refused_at_its_line(tail):
+    # a trailing `+` used to be dropped: `[a,a] = 2*a+` read as `2*a`
+    with pytest.raises(L.ParseError, match="malformed expression") as exc:
+        L.parse_algebra(f"algebra x\ndim 1\nbasis a\n[a,a] = 2*a{tail}\n")
+    assert exc.value.lineno == 4
+    with pytest.raises(L.ParseError, match="malformed expression") as exc:
+        L.parse_change(f"change x\ndim 1\nbasis a\n\nnew a = 2*a{tail}\n")
+    assert exc.value.lineno == 5
+    with pytest.raises(L.ParseError, match="malformed expression") as exc:
+        parse_scalar(f"l{tail}", ("l",), lineno=7)
+    assert exc.value.lineno == 7
+
+
+def test_sign_runs_keep_their_meaning():
+    x, y = Poly.param("x"), Poly.param("y")
+    assert parse_scalar("+x", ("x", "y")) == x
+    assert parse_scalar("--x", ("x", "y")) == x
+    assert parse_scalar("x--y", ("x", "y")) == x + y
+    assert parse_scalar("x+-+y", ("x", "y")) == x - y
+    assert parse_scalar("-1/2*x+y", ("x", "y")) == Fraction(-1, 2) * x + y
+    t = L.parse_algebra("algebra x\ndim 2\nbasis a b\n[a,a] = --a\n[a,b] = a--b\n[b,b] = -1/2*a+b\n")
+    assert t.entry(0, 0) == L.element_from([1, 0])
+    assert t.entry(0, 1) == L.element_from([1, 1])
+    assert t.entry(1, 1) == L.element_from([Fraction(-1, 2), 1])
+    doc = L.parse_change("change x\ndim 2\nbasis a b\nnew a = +a - -b\n")
+    assert doc.assignments["a"] == L.element_from([1, 1])
+
+
+@pytest.mark.parametrize("text", ["", " \t"])
+def test_empty_scalar_is_an_empty_expression(text):
+    with pytest.raises(L.ParseError, match="line 3: empty expression"):
+        parse_scalar(text, (), lineno=3)
+
+
 def test_exponents_above_the_cap_are_refused(capsys, tmp_path):
     head = "algebra t\ndim 1\nparams a\nbasis z\n"
     at_cap = head + f"[z,z] = a^{MAX_EXPONENT}*z\n"

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -145,6 +146,45 @@ def test_construct_rational_arguments(capsys, tmp_path):
     with open(path, encoding="utf-8") as f:
         t = L.parse_algebra(f.read())
     assert t == L.make_module_extension(0, L.Poly.const(7).constant_value() / 3)
+
+
+@pytest.mark.parametrize("args", [
+    ("Lfamily", "--l", "0", "--mu", "1", "--a", "1e5000"),
+    ("module-ext", "--m", "1", "--a=1e5000"),
+    ("module-ext", "--m", "1", "--a=1.5"),
+    ("module-ext", "--m", "1", "--a=1/2+"),
+    ("module-ext", "--m", "1", "--a=" + "1" * 5000),
+])
+def test_rationals_outside_the_scalar_grammar_exit_2(capsys, args):
+    # exponent forms used to reach Fraction and end in a ValueError traceback with exit 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct", *args])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error: argument --a: not a rational number" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [("abelian", "--dim=--"), ("module-ext", "--m", "1", "--a=--")])
+def test_option_value_of_double_dash_exits_2(capsys, args):
+    # argparse up to Python 3.12 passes `--flag=--` on as [], which used to end in a TypeError
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct", *args])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"error: argument {args[-1].split('=')[0]}: " in err and "Traceback" not in err
+
+
+def test_rationals_read_signs_as_the_alg_grammar(capsys, tmp_path):
+    path = construct(capsys, tmp_path, "module-ext", "--m", "0", "--a=--7/3")
+    with open(path, encoding="utf-8") as f:
+        assert L.parse_algebra(f.read()) == L.make_module_extension(0, Fraction(7, 3))
+
+
+def test_check_refuses_a_trailing_sign(capsys, tmp_path):
+    path = write(tmp_path, "t.alg", L.serialize_algebra(L.make_sl2()).replace("[e,h] = 2*e", "[e,h] = 2*e+"))
+    code, out, err = run(capsys, "check", path)
+    assert code == 2 and out == ""
+    assert err == "error: line 4: malformed expression '2*e+'\n"
 
 
 def test_constraints_output(capsys, tmp_path):

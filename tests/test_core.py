@@ -51,7 +51,7 @@ def test_element_arithmetic():
 def record_instances():
     """One instance of every immutable value class, built from sl2."""
     t = L.make_sl2()
-    ideal = L.Subspace.zero(3)
+    ideal = L.span([], 3)
     profile = t.invariant_profile()
     return [
         L.element_from([1, 0, 2]),
@@ -82,7 +82,7 @@ def test_records_are_frozen_and_slotted():
 
 
 def test_record_repr_names_class_and_fields():
-    assert repr(L.Subspace.zero(2)) == "Subspace(ambient=2, rows=(), pivots=())"
+    assert repr(L.span([], 2)) == "Subspace(ambient=2, rows=(), pivots=())"
     assert repr(L.Verdict("PASS")) == "Verdict(status='PASS', witness=None, residual=None, detail='')"
     assert repr(L.FamilySpec(2)) == (
         "FamilySpec(m=2, include_sl2_R_products=False, include_sl2_defects=False)"
@@ -512,7 +512,7 @@ def test_ideal_closure_module_block():
 
 
 def test_closures_of_zero_seed(sl2):
-    assert sl2.ideal_closure(L.Subspace.zero(3)).dim == 0
+    assert sl2.ideal_closure(L.span([], 3)).dim == 0
     names, e, f, h = L.make_sl2_module(2)
     assert submodule_closure((e, f, h), L.zero_element(3)).dim == 0
 
@@ -619,7 +619,7 @@ def test_quotient_by_other_verified_ideal():
 
 
 def test_quotient_by_full_and_zero(sl2):
-    q, _ = sl2.quotient_by(L.Subspace.zero(3))
+    q, _ = sl2.quotient_by(L.span([], 3))
     assert q == sl2
     q, _ = sl2.quotient_by(full_space(3))
     assert q.dim == 0

@@ -3,7 +3,8 @@
 Each document starts from a valid .alg or change document and takes a few
 random edits (a span deleted or replaced, a token inserted, a line dropped,
 doubled or moved). parse_algebra and parse_change must return or raise an
-AlgebraError; cli.main must return 0, 1 or 2 and raise nothing.
+AlgebraError; cli.main must return 0, 1 or 2 and raise nothing. Random
+text as a `construct` rational argument is held to the same.
 """
 
 import contextlib
@@ -11,7 +12,7 @@ import io
 import os
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import leibnizalg as L
 from leibnizalg import cli
@@ -95,3 +96,25 @@ def test_cli_on_mutated_files_exits_0_1_or_2(a_text, b_text, change_text):
                 code = cli.main([os.path.join(tmp, arg) if "." in arg else arg for arg in argv])
             assert code in (0, 1, 2), (argv, code)
             assert (code == 2) == err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+
+# rational arguments: `construct` reads them with the .alg scalar grammar
+RATIONAL_TEXT = st.text(alphabet="0123456789/+-*^ .eEx", max_size=12) | st.text()
+
+
+@settings(deadline=None, max_examples=200)
+@given(RATIONAL_TEXT)
+@example("1e5000")
+@example("1.5")
+@example("1/0")
+@example("")
+@example("--")
+def test_construct_on_random_rational_exits_0_1_or_2(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["construct", "module-ext", "--m", "1", f"--a={text}"])
+        except SystemExit as exc:  # argparse's exit on a usage error
+            code = exc.code
+    assert code in (0, 1, 2), (text, code)
+    assert (code == 2) == ("error: " in err.getvalue()), (text, err.getvalue())

@@ -344,6 +344,24 @@ def test_quotient_reduces_only_nonzero_brackets(monkeypatch):
     assert len(calls) == 2 * n
 
 
+def test_ideal_check_brackets_only_stored_products(monkeypatch):
+    # every row used to be bracketed with all n basis vectors on both sides: 2n^2 = 180,000 calls here
+    n = 300
+    t = diagonal_table(n)
+    ideal = t.squares_ideal()
+    calls = []
+    bracket = L.AlgebraTable.sparse_bracket
+
+    def counted(self, u, v):
+        calls.append(1)
+        return bracket(self, u, v)
+
+    monkeypatch.setattr(L.AlgebraTable, "sparse_bracket", counted)
+    quotient, _ = t.quotient_by(ideal)
+    assert quotient.dim == 0
+    assert len(calls) <= 2 * n, len(calls)
+
+
 def test_identity_inverse_reduces_only_the_support():
     # reduce used to look up every pivot for each row it inserted: 179,700 dict.get calls here
     n = 600
