@@ -1,7 +1,8 @@
 """Read and write the .alg text format for structure-constant tables.
 
 Grammar (one statement per line, `#` starts a comment, blank lines are
-ignored, whitespace inside a line is free):
+ignored; whitespace is free between tokens but may not split a number or
+a name, so `1 2*a` and `p q*a` are malformed terms, not `12*a` or `pq*a`):
 
     algebra NAME
     dim INT
@@ -39,7 +40,7 @@ from .scalars import ZERO, Poly, mono_mul
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RATIONAL_RE = re.compile(r"\d+(?:/\d+)?\Z")
 _POWER_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(\d+))?\Z")
-_PRODUCT_RE = re.compile(r"\[([^],]+),([^],]+)\]=(.+)\Z")
+_PRODUCT_RE = re.compile(r"\[\s*([^],\s]+)\s*,\s*([^],\s]+)\s*\]\s*=(.+)\Z")
 _NEW_RE = re.compile(r"new\s+(\S+?)\s*=\s*(.+)\Z")
 _TERM_RE = re.compile(r"([+-]*)([^+-]+)")
 
@@ -62,7 +63,7 @@ def _int(digits: str, lineno: int) -> int:
 
 
 def _split_terms(expr: str, lineno: int) -> list[tuple[int, str]]:
-    """Split a nonempty whitespace-free expression into (sign, body) chunks.
+    """Split a nonempty expression, spaces left only inside bodies, into (sign, body) chunks.
 
     A chunk is a run of signs and the body after it; it is negative when the
     run holds an odd number of `-`. Every string not ending in a sign is a
@@ -82,7 +83,7 @@ def _parse_term(
 ) -> tuple[Poly, int | None]:
     """One term -> (scalar, coordinate index). basis maps symbols to indices; None parses a bare scalar."""
     factors = body.split("*")
-    if any(not f for f in factors):
+    if any(not f for f in factors) or " " in body:
         raise ParseError(lineno, f"malformed term {body!r}")
     k: int | None = None
     if basis is not None:
@@ -119,7 +120,8 @@ def _parse_expr(
 ) -> dict[int | None, Poly]:
     """{coordinate index: scalar} of an expression over the basis given as
     {symbol: index}; index None reads a bare scalar, kept under None."""
-    expr = re.sub(r"\s+", "", text)
+    # a space stays only between two word characters, where it fails the term in _parse_term
+    expr = re.sub(r" (?!\w)|(?<!\w) ", "", re.sub(r"\s+", " ", text))
     if not expr:
         raise ParseError(lineno, "empty expression")
     coords: dict[int | None, Poly] = {}
@@ -201,8 +203,7 @@ def parse_algebra(text: str) -> AlgebraTable:
     rows: list[dict[int, Element]] = [{} for _ in basis]
     seen: set[tuple[str, str]] = set()
     for lineno, line in body:
-        squeezed = re.sub(r"\s+", "", line)
-        m = _PRODUCT_RE.match(squeezed)
+        m = _PRODUCT_RE.match(line)
         if not m:
             raise ParseError(lineno, f"expected `[NAME,NAME] = EXPR`, got {line!r}")
         left, right, expr = m.group(1), m.group(2), m.group(3)

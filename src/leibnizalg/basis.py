@@ -6,11 +6,12 @@ scalar}. A constant change is inverted by Gauss-Jordan elimination on the
 sparse [C | I]. Parametric rows are allowed only while the determinant
 stays a nonzero rational constant (unipotent changes and the like); then
 the inverse is the adjugate over that constant and every transformed entry
-stays polynomial. There is one transform for every table and change: each
-stored product [b_i, b_j] adds C[p][i]*C[q][j]*[b_i, b_j] to [c_p, c_q]
-in old coordinates, and each nonzero sum w is rewritten as w . C^-1. It
-runs over Fraction for a constant table and change and over Poly
-otherwise, so its work follows the stored products and nonzero entries.
+stays polynomial. There is one transform for every table and change:
+core.bilinear sums each [c_p, c_q] in old coordinates from the stored
+products (each [b_i, b_j] adds C[p][i]*C[q][j]*[b_i, b_j]), and each
+nonzero sum w is rewritten as w . C^-1. It runs over Fraction for a
+constant table and change and over Poly otherwise, so its work follows the
+stored products and nonzero entries.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .core import FAIL, PASS, AlgebraTable, Element, Record, Row, Verdict, element_from
+from .core import FAIL, PASS, AlgebraTable, Element, Record, Row, Verdict, bilinear, element_from, transpose
 from .errors import BasisChangeError, DimensionMismatchError, ParametricError
 from .scalars import _F1, ONE, ZERO, Coeffish, Poly, as_poly
 
@@ -162,10 +163,10 @@ def apply_basis_change(t: AlgebraTable, change: BasisChange) -> AlgebraTable:
     """The same algebra written on the new basis rows.
 
     [c_p, c_q] is summed in old coordinates from the stored products
-    alone: each [b_i, b_j] adds C[p][i]*C[q][j]*[b_i, b_j] for the p and
-    q with C[p][i] and C[q][j] nonzero. Each nonzero sum w becomes the
-    product [c_p, c_q] with coordinates w . C^-1. Basis symbols keep
-    their names; they now denote the new vectors.
+    alone (core.bilinear): each [b_i, b_j] adds C[p][i]*C[q][j]*[b_i, b_j]
+    for the p and q with C[p][i] and C[q][j] nonzero. Each nonzero sum w
+    becomes the product [c_p, c_q] with coordinates w . C^-1. Basis
+    symbols keep their names; they now denote the new vectors.
     """
     if change.dim != t.dim:
         raise DimensionMismatchError(
@@ -177,24 +178,9 @@ def apply_basis_change(t: AlgebraTable, change: BasisChange) -> AlgebraTable:
         if t.is_parametric()
         else t.constants()
     )
-    # uses[i] lists the (p, C[p][i]) with C[p][i] != 0: the new vectors that involve b_i
-    uses: list[list] = [[] for _ in rows]
-    for p, row in enumerate(rows):
-        for i, x in row.items():
-            uses[i].append((p, x))
-    old: dict[tuple[int, int], dict] = {}
-    for i, row in enumerate(products):
-        for j, entry in row.items():
-            for p, x in uses[i]:
-                for q, y in uses[j]:
-                    w = old.setdefault((p, q), {})
-                    s = x * y
-                    for k, c in entry:
-                        w[k] = w[k] + s * c if k in w else s * c
     new_rows: list[dict[int, Element]] = [{} for _ in rows]
-    for (p, q), w in old.items():
-        coords = _row_times(w, inv)
-        new_rows[p][q] = Element.of(t.dim, {r: as_poly(x) for r, x in coords.items()})
+    for (p, q), w in bilinear(products, rows, transpose(rows, t.dim)).items():
+        new_rows[p][q] = Element.of(t.dim, {r: as_poly(x) for r, x in _row_times(w, inv).items()})
     extra = sorted(change.parameters() - set(t.params))
     return AlgebraTable(t.name, t.dim, t.params + tuple(extra), t.basis, new_rows)
 

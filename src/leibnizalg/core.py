@@ -22,12 +22,12 @@ checks visit only the triples whose residual can be nonzero (sparse_triples).
 
 Constant tables have one more representation, their sparse Fraction
 structure constants (AlgebraTable.constants), keyed like rows and built
-once per table. sparse_bracket, their bilinear extension, is the one
-bracket: the subspace work runs on it, and the basis change in basis reads
-the stored products (constants or rows) directly. Subspaces, ideals,
-quotients and invariant profiles are in spaces, which the AlgebraTable
-methods of those names import when first called; basis changes are in
-basis. So `check` and `constraints` compile neither.
+once per table. bilinear is the one bracket of vectors: it sums every
+[l_p, r_q] of two families from the stored products alone, over Fraction
+or Poly, and the basis change, product spans and ideal checks all run on
+it. Subspaces, ideals, quotients and invariant profiles are in spaces,
+which the AlgebraTable methods of those names import when first called;
+basis changes are in basis. So `check` and `constraints` compile neither.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from math import lcm
 from operator import attrgetter
 
 from .errors import DimensionMismatchError, MissingParameterError, ParametricError
-from .scalars import _F0, ONE, ZERO, Coeffish, Mono, Poly, as_poly, format_term, mono_packing, _join_terms
+from .scalars import ONE, ZERO, Coeffish, Mono, Poly, as_poly, format_term, mono_packing, _join_terms
 
 # a sparse matrix row {column: nonzero scalar}, the scalars Fraction or Poly
 Row = Mapping[int, Coeffish]
@@ -280,6 +280,35 @@ def sparse_triples(rows: Sequence[Mapping[int, list]]) -> Iterator[tuple[int, in
                 yield i, j, k
 
 
+def transpose(rows: Sequence[Mapping[int, object]], n: int) -> list[dict]:
+    """The n columns of sparse rows: cols[i][j] = rows[j][i] over the stored entries."""
+    cols: list[dict] = [{} for _ in range(n)]
+    for j, row in enumerate(rows):
+        for i, x in row.items():
+            cols[i][j] = x
+    return cols
+
+
+def bilinear(products: Sequence[Mapping[int, Iterable]], left: Sequence[Row], right_cols: Sequence[Row]) -> dict:
+    """{(p, q): [l_p, r_q]} for the sparse rows l_p of left and the vectors
+    r_q given by column (right_cols[j] = {q: r_q[j]}), with zero coordinates
+    and zero brackets left out. products[i] maps j to the nonzero (k, c) of
+    [b_i, b_j], as constants() does, and each adds l_p[i]*r_q[j]*[b_i, b_j],
+    so the work follows the stored products that meet the supports. The
+    scalars may be Fraction or Poly."""
+    out: dict[tuple[int, int], dict] = {}
+    for p, l in enumerate(left):
+        for i, x in l.items():
+            for j, entry in products[i].items():
+                for q, y in right_cols[j].items():
+                    w = out.setdefault((p, q), {})
+                    s = x * y
+                    for k, c in entry:
+                        w[k] = w[k] + s * c if k in w else s * c
+    nonzero = ((pq, {k: x for k, x in w.items() if x}) for pq, w in out.items())
+    return {pq: w for pq, w in nonzero if w}
+
+
 def symmetric_pairs(rows: Sequence[Mapping[int, object]]) -> list[tuple[int, int]]:
     """The pairs (i, j) with i <= j, in lexicographic order, at which
     [b_i, b_j] or [b_j, b_i] is stored in rows (rows[i] keyed by j)."""
@@ -470,20 +499,6 @@ class AlgebraTable(Record):
                 "table has parametric entries; use constraint extraction "
                 "(extract_constraints / the constraints command) instead"
             )
-
-    def sparse_bracket(self, u: SparseVec, v: SparseVec) -> SparseVec:
-        """[u, v] for sparse constant vectors, through constants()."""
-        rows = self.constants()
-        acc: SparseVec = {}
-        for i, a in u.items():
-            row_i = rows[i]
-            for j, b in v.items():
-                entry = row_i.get(j)
-                if entry:
-                    s = a * b
-                    for k, c in entry:
-                        acc[k] = acc.get(k, _F0) + s * c
-        return {k: x for k, x in acc.items() if x}
 
     def _residual_verdict(self, detail: str, negate: bool = False) -> Verdict:
         """PASS, or FAIL at the first basis triple with a nonzero residual,

@@ -2,20 +2,21 @@
 
 Linear algebra is exact over Fraction: subspaces are reduced row echelon
 forms. Every operation brackets sparse Fraction vectors {index: value}
-through the table's structure constants (AlgebraTable.sparse_bracket) and
-feeds one incremental echelon routine (Echelon). Ideals are closed with a
-worklist: each new echelon row is bracketed with the basis once, so this
-terminates after at most dim rows. The AlgebraTable methods of the same
-names import this module when first called.
+through the table's structure constants with core.bilinear, so it visits
+only the stored products that meet the vectors' supports, and feeds one
+incremental echelon routine (Echelon). Ideals are closed with a worklist:
+each new echelon row is bracketed with the basis once on each side, so
+this terminates after at most dim rows. The AlgebraTable methods of the
+same names import this module when first called.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .core import AlgebraTable, Element, Record, SparseVec, sparse, sparse_element, symmetric_pairs
+from .core import AlgebraTable, Element, Record, SparseVec, bilinear, sparse, sparse_element, symmetric_pairs, transpose
 from .errors import DimensionMismatchError, NotAnIdealError, ParametricError
 from .scalars import _F0, _F1, ZERO
 
@@ -149,12 +150,10 @@ def span(vectors: Iterable[Element | Sequence[Fraction]], ambient: int | None = 
         if not rows:
             raise DimensionMismatchError("span of no vectors needs an explicit ambient dimension")
         ambient = rows[0][0]
-    ech = Echelon(ambient)
-    for n, r in rows:
+    for n, _ in rows:
         if n != ambient:
             raise DimensionMismatchError(f"vector of length {n} in ambient dimension {ambient}")
-        ech.add(r)
-    return ech.subspace()
+    return _nonzero_span(ambient, (r for _, r in rows))
 
 
 class InvariantProfile(Record):
@@ -220,31 +219,29 @@ class ProfileReport(Record):
 
 
 def _nonzero_span(ambient: int, vectors: Iterable[SparseVec | Iterable[tuple[int, Fraction]]]) -> Subspace:
-    """The span of the nonzero sparse vectors among vectors."""
+    """The span of sparse vectors, each with no zero value."""
     ech = Echelon(ambient)
     for w in vectors:
-        if w:
-            ech.add(w)
+        ech.add(w)
     return ech.subspace()
 
 
 def product_span(t: AlgebraTable, left: Subspace, right: Subspace | None = None) -> Subspace:
-    """span{ [u, v] : u in left, v in right }, computed on echelon rows;
-    right None is all of L, spanned by the unit vectors {j: 1}."""
-    rights = [{j: _F1} for j in range(t.dim)] if right is None else right.rows
-    return _nonzero_span(t.dim, (t.sparse_bracket(u, v) for u in left.rows for v in rights))
+    """span{ [u, v] : u in left, v in right }, computed on echelon rows, one
+    left row at a time so that only its brackets are held; right None is all
+    of L, whose unit vectors {j: 1} are their own columns."""
+    cols = [{j: _F1} for j in range(t.dim)] if right is None else transpose(right.rows, t.dim)
+    return _nonzero_span(t.dim, (w for u in left.rows for w in bilinear(t.constants(), [u], cols).values()))
 
 
-def _basis_brackets(t: AlgebraTable, v: SparseVec) -> Iterator[tuple[str, int, SparseVec]]:
-    """("right", j, [v, b_j]) then ("left", j, [b_j, v]), for j in order,
-    over the j where a stored product meets supp v; the rest are zero."""
-    rows = t.constants()
-    meets = {j for i in v for j in rows[i]}
-    meets.update(j for j, row in enumerate(rows) if not row.keys().isdisjoint(v.keys()))
-    for j in sorted(meets):
-        unit = {j: _F1}
-        yield "right", j, t.sparse_bracket(v, unit)
-        yield "left", j, t.sparse_bracket(unit, v)
+def _with_basis(t: AlgebraTable) -> Callable[[SparseVec], list[tuple[int, int, SparseVec]]]:
+    """brackets(v): the (j, side, w), sorted, with w = [v, b_j] (side 0) or
+    [b_j, v] (side 1) nonzero, through the stored products and their
+    transpose, so only the products that meet supp v are visited."""
+    rows, units = t.constants(), [{j: _F1} for j in range(t.dim)]
+    sides = (rows, transpose(rows, t.dim))
+    return lambda v: sorted((j, side, w) for side, products in enumerate(sides)
+                            for (_, j), w in bilinear(products, [v], units).items())
 
 
 def ideal_closure(t: AlgebraTable, seed: Subspace) -> Subspace:
@@ -257,12 +254,12 @@ def ideal_closure(t: AlgebraTable, seed: Subspace) -> Subspace:
         raise DimensionMismatchError("seed lives in the wrong ambient dimension")
     ech = Echelon(t.dim)
     pending = [row for row in map(ech.add, seed.rows) if row is not None]
+    brackets = _with_basis(t) if pending and ech.rank < t.dim else None  # else the loop never runs
     while pending and ech.rank < t.dim:
-        for _, _, w in _basis_brackets(t, pending.pop()):
-            if w:
-                row = ech.add(w)
-                if row is not None:
-                    pending.append(row)
+        for _, _, w in brackets(pending.pop()):
+            row = ech.add(w)
+            if row is not None:
+                pending.append(row)
     return ech.subspace()
 
 
@@ -280,13 +277,14 @@ def squares_ideal(t: AlgebraTable) -> Subspace:
 
 
 def verify_ideal(t: AlgebraTable, sub: Subspace) -> None:
-    """Raise NotAnIdealError naming a violating product if sub is not an ideal."""
-    ech = Echelon.of(sub)
+    """Raise NotAnIdealError naming a violating product if sub is not an ideal;
+    row by row, j ascending, [v, b_j] is checked before [b_j, v]."""
+    brackets, ech = _with_basis(t), Echelon.of(sub)
     for row in sub.rows:
-        for side, j, w in _basis_brackets(t, row):
-            if w and ech.reduce(w):
+        for j, side, w in brackets(row):
+            if ech.reduce(w):
                 el = t.format_element(sparse_element(sub.ambient, row))
-                pair = f"{el}, {t.basis[j]}" if side == "right" else f"{t.basis[j]}, {el}"
+                pair = f"{t.basis[j]}, {el}" if side else f"{el}, {t.basis[j]}"
                 raise NotAnIdealError(f"[{pair}] leaves the subspace")
 
 

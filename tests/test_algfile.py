@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,35 @@ def test_whitespace_and_comments_are_free():
     text = "algebra  x\ndim 2\nbasis  u v\n [ u , v ]=u   # trailing\n"
     t = L.parse_algebra(text)
     assert t.entry(0, 1) == t.basis_element("u")
+
+
+@pytest.mark.parametrize("expr,shown", [
+    ("1 2*a", "1 2*a"),
+    ("p q*a", "p q*a"),
+    ("2 a", "2 a"),
+    ("a + 1/2 * p q * a", "1/2*p q*a"),
+    ("p^1 0*a", "p^1 0*a"),
+    ("a - 3\t4*a", "3 4*a"),
+])
+def test_whitespace_may_not_split_a_number_or_name(expr, shown):
+    # all whitespace used to be deleted first: `1 2*a` read as `12*a`, `p q*a` as an unknown `pq`
+    with pytest.raises(L.ParseError, match=re.escape(f"malformed term {shown!r}")) as exc:
+        L.parse_algebra(f"algebra x\ndim 1\nparams p q\nbasis a\n[a,a] = {expr}\n")
+    assert exc.value.lineno == 5
+    with pytest.raises(L.ParseError, match=re.escape(f"malformed term {shown!r}")) as exc:
+        L.parse_change(f"change x\ndim 1\nparams p q\nbasis a\nnew a = {expr}\n")
+    assert exc.value.lineno == 5
+    with pytest.raises(L.ParseError, match="malformed term"):
+        parse_scalar(expr.replace("*a", ""), ("p", "q", "a"))
+
+
+def test_whitespace_around_operators_stays_free():
+    t = L.parse_algebra("algebra x\ndim 2\nparams p\nbasis a b\n[b , a] = - 1/2 * b\n[ a,b ] =\tp ^ 2 * a -  - b\n")
+    assert t.entry(1, 0) == L.element_from([0, Fraction(-1, 2)])
+    assert L.serialize_algebra(t).splitlines()[-2:] == ["[a,b] = p^2*a + b", "[b,a] = -1/2*b"]
+    assert parse_scalar(" - 1 / 2 ", ()) == Fraction(-1, 2)
+    with pytest.raises(L.ParseError, match="expected `\\[NAME,NAME\\] = EXPR`"):
+        L.parse_algebra("algebra x\ndim 2\nbasis ab b\n[a b,b] = b\n")
 
 
 @pytest.mark.parametrize(

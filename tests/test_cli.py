@@ -154,6 +154,7 @@ def test_construct_rational_arguments(capsys, tmp_path):
     ("module-ext", "--m", "1", "--a=1.5"),
     ("module-ext", "--m", "1", "--a=1/2+"),
     ("module-ext", "--m", "1", "--a=" + "1" * 5000),
+    ("module-ext", "--m", "0", "--a=1 2"),
 ])
 def test_rationals_outside_the_scalar_grammar_exit_2(capsys, args):
     # exponent forms used to reach Fraction and end in a ValueError traceback with exit 1
@@ -172,6 +173,23 @@ def test_option_value_of_double_dash_exits_2(capsys, args):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert f"error: argument {args[-1].split('=')[0]}: " in err and "Traceback" not in err
+
+
+def test_whitespace_inside_a_rational_argument_exits_2(capsys):
+    # `--mu "1 0"` used to read as 10 and emit L_0_10_1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct", "Lfamily", "--l", "0", "--mu", "1 0", "--a", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "error: argument --mu: not a rational number: '1 0'" in captured.err
+
+
+def test_change_basis_refuses_whitespace_inside_a_number(capsys, tmp_path):
+    # the identity change used to print `[a,a] = 12*a`
+    path = write(tmp_path, "t.alg", "algebra t\ndim 1\nbasis a\n[a,a] = 1 2*a\n")
+    code, out, err = run(capsys, "change-basis", path, "identity")
+    assert code == 2 and out == ""
+    assert "line 4: malformed term '1 2*a'" in err
 
 
 def test_rationals_read_signs_as_the_alg_grammar(capsys, tmp_path):

@@ -582,6 +582,47 @@ def test_verify_ideal_rejects_non_ideal(sl2):
         sl2.quotient_by(L.span([sl2.basis_element("h")]))
 
 
+@pytest.mark.parametrize("table,coords,pair", [
+    ("sl2", {"e": 1}, "e, f"),
+    ("sl2", {"h": 1}, "h, e"),
+    ("sl2", {"f": 1}, "f, e"),
+    ("L101", {"x0": 1}, "x0, f"),
+    ("L101", {"y1": 1}, "e, y1"),
+    ("L101", {"x1": 1, "y1": 2}, "x1 + 2*y1, e"),
+])
+def test_verify_ideal_names_the_first_violating_product(table, coords, pair):
+    # rows in order, j ascending, [v, b_j] before [b_j, v]: the first product that leaves is named
+    t = L.make_sl2() if table == "sl2" else L.make_L_family(1, 0, 1)
+    with pytest.raises(L.NotAnIdealError) as exc:
+        t.verify_ideal(L.span([t.element(coords)]))
+    assert str(exc.value) == f"[{pair}] leaves the subspace"
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_bilinear_is_the_bracket_on_random_vectors(data):
+    t = data.draw(sparse_constant_tables())
+    coords = st.dictionaries(st.integers(min_value=0, max_value=t.dim - 1), small_rationals, max_size=t.dim)
+    u, v = data.draw(coords), data.draw(coords)
+    want = bracket(t, core.sparse_element(t.dim, u), core.sparse_element(t.dim, v))
+    got = core.bilinear(t.constants(), [u], core.transpose([v], t.dim))
+    assert got == ({(0, 0): {k: c.constant_value() for k, c in want.nonzero.items()}} if want.nonzero else {})
+
+
+def test_bilinear_drops_what_cancels():
+    products = {("a", "a"): {"a": 1}, ("b", "b"): {"a": -1}, ("a", "b"): {"b": 1}, ("b", "a"): {"b": -1}}
+    t = L.AlgebraTable.from_products("c", ("a", "b"), products)
+    one = Fraction(1)
+    rows = [{0: one, 1: one}, {0: one, 1: -one}]  # a + b and a - b
+    # [a+b, a+b] = a + b - b - a and [a-b, a-b] = a - b + b - a are left out
+    assert core.bilinear(t.constants(), rows, core.transpose(rows, 2)) == {
+        (0, 1): {0: 2 * one, 1: -2 * one}, (1, 0): {0: 2 * one, 1: 2 * one},
+    }
+    # with [a, a] = a + b, [a+b, a+b] = b keeps no zero coordinate at a
+    t = L.AlgebraTable.from_products("c", ("a", "b"), {**products, ("a", "a"): {"a": 1, "b": 1}})
+    assert core.bilinear(t.constants(), rows[:1], core.transpose(rows[:1], 2)) == {(0, 0): {1: one}}
+
+
 def test_quotient_collapses_squares():
     t = L.make_L_family(1, 0, 1)
     quotient, proj = t.quotient_by(t.squares_ideal())
