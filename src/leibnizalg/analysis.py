@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 
-from .core import AlgebraTable, Record, scaled_residual, sparse_triples
+from .core import AlgebraTable, Record, pair_residual, residual_pairs, transpose
 from .scalars import Poly, _join_terms, format_term, poly_sort_key, primitive_terms
 
 
@@ -69,10 +69,12 @@ def extract_constraints(t: AlgebraTable) -> ConstraintSet:
     ascending, which is poly_sort_key order, and only they become Polys.
     """
     _, rows, unpack = t.scaled_rows()
+    cols = transpose(rows, t.dim)
     found: dict[frozenset[tuple[int, int]], dict[int, int]] = {}
-    for i, j, k in sparse_triples(rows):
-        for terms in scaled_residual(rows, i, j, k).values():
-            prim = primitive_terms(terms, min(terms))
-            found.setdefault(frozenset(prim.items()), prim)
+    for j, k in residual_pairs(rows):
+        for coords in pair_residual(rows, cols, j, k).values():
+            for terms in coords.values():
+                prim = primitive_terms(terms, min(terms))
+                found.setdefault(frozenset(prim.items()), prim)
     forms = sorted((sorted(prim.items()) for prim in found.values()), key=lambda items: (len(items), items))
     return ConstraintSet(tuple(Poly({unpack(m): Fraction(c) for m, c in items}) for items in forms))

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .core import AlgebraTable, Element, Record, Row, scale_table, scaled_residual
+from .core import AlgebraTable, Element, Record, Row, pair_residual, scale_table, transpose
 from .errors import AdmissibilityError, DimensionMismatchError, ParametricError
 from .scalars import Poly, as_poly
 
@@ -145,9 +145,10 @@ def make_dzhumadildaev(
     # packed over the action's parameters, which AlgebraTable refuses only after the check
     params = set().union(*(p.parameters() for col in acted for v in col for p in v.values()))
     scaled = scale_table(rows, params)[1]
+    module_cols = transpose([{}] * n + scaled[n:], dim)  # the action operators, on the module rows only
     for i, gi in enumerate(g.basis):
         for j, gj in enumerate(g.basis):
-            if any(scaled_residual(scaled, x, i, j) for x in range(n, n + mdim)):
+            if pair_residual(scaled, module_cols, i, j):
                 raise AdmissibilityError(
                     f"action matrices are not a right module: fails at [{gi},{gj}]"
                 )

@@ -14,11 +14,12 @@ vanishes for all basis triples exactly when the table satisfies the
 There is one residual kernel, for constant and parametric tables alike:
 scale_table (AlgebraTable.scaled_rows) multiplies every entry by the lcm D
 of the table's denominators and packs each monomial into one int
-(scalars.mono_packing), and scaled_residual returns D^2 times the residual,
-multiplying monomials by adding ints, with no Fraction or Poly arithmetic.
-The identity checks, residual, extract_constraints in analysis and the
-module check of make_dzhumadildaev in constructions all run on it, and the
-checks visit only the triples whose residual can be nonzero (sparse_triples).
+(scalars.mono_packing), and pair_residual returns D^2 times the operator
+r(., b_j, b_k) = R_[b_j,b_k] - R_k.R_j + R_j.R_k (R_y x = [x, y]), adding
+ints for monomial products, with no Fraction or Poly arithmetic. The
+identity checks, residual, extract_constraints in analysis and the module
+check of make_dzhumadildaev in constructions all run on it, over the pairs
+(j, k) whose residual can be nonzero (residual_pairs).
 
 Constant tables have one more representation, their sparse Fraction
 structure constants (AlgebraTable.constants), keyed like rows and built
@@ -32,8 +33,9 @@ basis changes are in basis. So `check` and `constraints` compile neither.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import attrgetter
 
@@ -219,65 +221,47 @@ def scale_table(rows: Sequence[Mapping[int, Element]], params: Iterable[str]) ->
     return d, scaled, unpack
 
 
-def scaled_residual(rows: ScaledRows, i: int, j: int, k: int) -> dict[int, dict[int, int]]:
-    """The nonzero coordinates of D^2*r(b_i, b_j, b_k), in integers.
+def residual_pairs(rows: Sequence[Mapping[int, object]]) -> list[tuple[int, int]]:
+    """The pairs (j, k), ascending, at which r(., b_j, b_k) can be nonzero:
+    [b_j, b_k] is stored (rows[j] keyed by k), or columns j and k both hold
+    a product. At any other pair every term of pair_residual is zero."""
+    acting = sorted({k for row in rows for k in row})
+    return sorted({(j, k) for j, row in enumerate(rows) for k in row}.union(product(acting, repeat=2)))
 
-    rows are the scaled structure constants D*[b_i, b_j] of
-    AlgebraTable.scaled_rows, on packed monomials. Every term of the
-    residual is a product of two table entries, so scaling each entry by D
-    scales the residual by D^2, and the product of two packed monomials is
-    their sum.
+
+def pair_residual(rows: ScaledRows, cols: Sequence[Mapping[int, list]], j: int, k: int) -> dict[int, dict]:
+    """{i: the nonzero coordinates of D^2*r(b_i, b_j, b_k)}, in integers on
+    the scaled rows (AlgebraTable.scaled_rows), for the i whose rows cols holds.
+
+    cols[j][i] = rows[i][j] (transpose, of all rows or of the ones wanted)
+    is R_j by columns, and r(., b_j, b_k) = R_[b_j,b_k] - R_k.R_j + R_j.R_k,
+    whose operator products are zero unless R_j and R_k both are not. Each
+    term is a product of two entries scaled by D, and packed monomials
+    multiply by adding.
     """
-    row_i = rows[i]
-    acc: dict[int, dict[int, int]] = {}
-    for l, c in rows[j].get(k, ()):  # + [b_i, [b_j, b_k]]
-        for m, e in row_i.get(l, ()):
-            out = acc.setdefault(m, {})
-            for m1, x in c.items():
-                for m2, y in e.items():
-                    mono = m1 + m2
-                    out[mono] = out.get(mono, 0) + x * y
-    for l, c in row_i.get(j, ()):  # - [[b_i, b_j], b_k]
-        for m, e in rows[l].get(k, ()):
-            out = acc.setdefault(m, {})
-            for m1, x in c.items():
-                for m2, y in e.items():
-                    mono = m1 + m2
-                    out[mono] = out.get(mono, 0) - x * y
-    for l, c in row_i.get(k, ()):  # + [[b_i, b_k], b_j]
-        for m, e in rows[l].get(j, ()):
-            out = acc.setdefault(m, {})
-            for m1, x in c.items():
-                for m2, y in e.items():
-                    mono = m1 + m2
-                    out[mono] = out.get(mono, 0) + x * y
-    nonzero = ((m, {mono: x for mono, x in out.items() if x}) for m, out in acc.items())
-    return {m: terms for m, terms in nonzero if terms}
-
-
-def sparse_triples(rows: Sequence[Mapping[int, list]]) -> Iterator[tuple[int, int, int]]:
-    """The basis triples (i, j, k), in lexicographic order, at which
-    [b_i, b_k], [b_j, b_k] or some [b_l, b_k] with b_l in the support of
-    [b_i, b_j] is nonzero, for the i with [b_i, L] != 0.
-
-    rows[i] maps each j with [b_i, b_j] != 0 to its nonzero (l, coefficient)
-    coordinates, so the k visited are the union of the columns of rows i, j
-    and each such l, ascending. A residual (or, on an antisymmetric table, a
-    Jacobi sum) at a skipped triple is a sum of zero products; when
-    [b_i, L] = 0, every term of r(b_i, ., .) is.
-    """
-    every = range(len(rows))
-    cols = [set(row) for row in rows]
-    for i, row_i in enumerate(rows):
-        if not row_i:
-            continue
-        cols_i = cols[i]
-        for j in every:
-            ks = cols[j] | cols_i
-            for l, _ in row_i.get(j, ()):
-                ks |= cols[l]
-            for k in sorted(ks):
-                yield i, j, k
+    acc: dict[tuple[int, int, int], int] = {}  # (i, m, packed monomial) -> integer
+    for l, c in rows[j].get(k, ()):  # + [b_i, [b_j, b_k]], over the rows R_l holds
+        for i, e in cols[l].items():
+            for m, f in e:
+                for m1, x in c.items():
+                    for m2, y in f.items():
+                        key = (i, m, m1 + m2)
+                        acc[key] = acc.get(key, 0) + x * y
+    if cols[j] and cols[k]:
+        for s, a, b in ((-1, j, k), (1, k, j)):  # - [[b_i, b_j], b_k] + [[b_i, b_k], b_j]
+            for i, entry in cols[a].items():
+                for l, c in entry:
+                    for m, f in rows[l].get(b, ()):
+                        for m1, x in c.items():
+                            x *= s
+                            for m2, y in f.items():
+                                key = (i, m, m1 + m2)
+                                acc[key] = acc.get(key, 0) + x * y
+    found: dict[int, dict[int, dict[int, int]]] = {}
+    for (i, m, mono), x in acc.items():
+        if x:
+            found.setdefault(i, {}).setdefault(m, {})[mono] = x
+    return found
 
 
 def transpose(rows: Sequence[Mapping[int, object]], n: int) -> list[dict]:
@@ -474,7 +458,7 @@ class AlgebraTable(Record):
         d, rows, unpack = self.scaled_rows()
         return Element.of(self.dim, {
             m: Poly({unpack(mono): Fraction(c, d * d) for mono, c in terms.items()})
-            for m, terms in scaled_residual(rows, i, j, k).items()
+            for m, terms in pair_residual(rows, transpose(rows, self.dim), j, k).get(i, {}).items()
         })
 
     def constants(self) -> Constants:
@@ -501,15 +485,18 @@ class AlgebraTable(Record):
             )
 
     def _residual_verdict(self, detail: str, negate: bool = False) -> Verdict:
-        """PASS, or FAIL at the first basis triple with a nonzero residual,
-        walked on the scaled rows; negate reports the residual's negative."""
+        """PASS, or FAIL at the lexicographically least basis triple with a
+        nonzero residual, walked by pairs on the scaled rows; negate reports
+        the residual's negative."""
         rows = self.scaled_rows()[1]
-        for i, j, k in sparse_triples(rows):
-            if scaled_residual(rows, i, j, k):
-                r = self.residual(i, j, k)
-                witness = (self.basis[i], self.basis[j], self.basis[k])
-                return Verdict(FAIL, witness, -r if negate else r, detail)
-        return Verdict(PASS)
+        cols = transpose(rows, self.dim)
+        nonzero = ((min(at), j, k) for j, k in residual_pairs(rows) if (at := pair_residual(rows, cols, j, k)))
+        first = min(nonzero, default=None)
+        if first is None:
+            return Verdict(PASS)
+        i, j, k = first
+        r = self.residual(i, j, k)
+        return Verdict(FAIL, (self.basis[i], self.basis[j], self.basis[k]), -r if negate else r, detail)
 
     def check_leibniz(self) -> Verdict:
         """PASS iff every residual over basis triples vanishes. Constants only."""

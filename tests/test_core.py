@@ -409,17 +409,22 @@ def test_sparse_triple_walk_matches_all_triples_on_random_tables(data):
 
 
 def assert_walk_covers_nonzero_residuals(t):
-    """sparse_triples visits each triple once, in lexicographic order, and
-    every triple whose residual is nonzero; on a constant table it walks
-    constants() as the identity checks do, on any table scaled_rows()."""
-    walks = [t.scaled_rows()[1]] + ([] if t.is_parametric() else [t.constants()])
-    for rows in walks:
-        visited = list(core.sparse_triples(rows))
-        assert visited == sorted(set(visited))
-        seen = set(visited)
-        for triple in itertools.product(range(t.dim), repeat=3):
-            if not ref_residual(t, *triple).is_zero():
-                assert triple in seen, triple
+    """residual_pairs visits each pair once, in ascending order, and every
+    (j, k) at which some r(b_i, b_j, b_k) is nonzero; pair_residual returns
+    column i there exactly when that residual is nonzero. On a constant
+    table the walk over constants() is the walk over scaled_rows()."""
+    rows = t.scaled_rows()[1]
+    cols = core.transpose(rows, t.dim)
+    visited = core.residual_pairs(rows)
+    assert visited == sorted(set(visited))
+    if not t.is_parametric():
+        assert core.residual_pairs(t.constants()) == visited
+    seen = set(visited)
+    for j, k in itertools.product(range(t.dim), repeat=2):
+        nonzero = {i for i in range(t.dim) if not ref_residual(t, i, j, k).is_zero()}
+        if nonzero:
+            assert (j, k) in seen, (j, k)
+            assert set(core.pair_residual(rows, cols, j, k)) == nonzero, (j, k)
 
 
 def test_sparse_triple_walk_covers_nonzero_residuals():
@@ -437,11 +442,15 @@ def test_sparse_triple_walk_covers_nonzero_residuals_on_random_tables(t):
 
 
 def test_sparse_triple_walk_sizes():
-    # when [b_i, b_j] != 0 only the columns of its support are added, not every k
+    # the pair walk visits the stored products and the pairs of columns that
+    # hold one: e, h, f, y1 and y2 on module-ext, 17 pairs not stored
     me30 = L.make_module_extension(30, Fraction(3, 2))
-    assert sum(1 for _ in core.sparse_triples(me30.constants())) == 5191
+    assert len(core.residual_pairs(me30.constants())) == 146
     gen6 = L.make_generic_family(L.FamilySpec(6, include_sl2_R_products=True, include_sl2_defects=True))
-    assert sum(1 for _ in core.sparse_triples(gen6.scaled_rows()[1])) == 708
+    assert len(core.residual_pairs(gen6.scaled_rows()[1])) == 57
+    rows = L.make_module_extension(2000, 1).constants()
+    stored = sum(len(row) for row in rows)
+    assert len(core.residual_pairs(rows)) == stored + 17 == 8026
 
 
 @pytest.mark.parametrize("check", ["check_leibniz", "check_lie"])
@@ -532,19 +541,25 @@ def test_right_mult_operator_identity():
 def assert_operator_form_agrees(t):
     """check_leibniz against its operator form: column i of
     R_[b_j,b_k] - R_k.R_j + R_j.R_k is r(b_i, b_j, b_k), since
-    R_y.R_x(b_i) = [[b_i, x], y]. Each column is nonzero exactly where the
-    identity checks' kernel finds a residual, and the first nonzero (i, j, k)
-    in lexicographic order is the verdict's witness and residual. Returns
-    whether the table is Leibniz."""
+    R_y.R_x(b_i) = [[b_i, x], y]. Each column equals column i of the
+    identity checks' kernel at the pair (j, k), scaled back by D^2, and the
+    first nonzero (i, j, k) in lexicographic order is the verdict's witness
+    and residual. Returns whether the table is Leibniz."""
     rights = [right_mult_matrix(t, t.basis_element(j)) for j in range(t.dim)]
-    rows = t.scaled_rows()[1]
+    d, rows, unpack = t.scaled_rows()
+    cols = core.transpose(rows, t.dim)
     first = None
     for j, k in itertools.product(range(t.dim), repeat=2):
         rj, rk = rights[j], rights[k]
         op = mat_sub(right_mult_matrix(t, t.entry(j, k)), mat_sub(mat_mul(rk, rj), mat_mul(rj, rk)))
+        found = core.pair_residual(rows, cols, j, k)
         for i in range(t.dim):
             column = L.Element(tuple(row[i] for row in op))
-            assert column.is_zero() == (not core.scaled_residual(rows, i, j, k)), (i, j, k)
+            got = {
+                m: Poly({unpack(mono): Fraction(c, d * d) for mono, c in terms.items()})
+                for m, terms in found.get(i, {}).items()
+            }
+            assert column == L.Element.of(t.dim, got), (i, j, k)
             if not column.is_zero() and (first is None or (i, j, k) < first[0]):
                 first = ((i, j, k), column)
     verdict = t.check_leibniz()
