@@ -455,10 +455,14 @@ class AlgebraTable(Record):
 
     def residual(self, i: int, j: int, k: int) -> Element:
         """r(b_i, b_j, b_k) = [b_i,[b_j,b_k]] - [[b_i,b_j],b_k] + [[b_i,b_k],b_j]."""
-        d, rows, unpack = self.scaled_rows()
+        scaled = self.scaled_rows()
+        return self._unscaled(scaled, pair_residual(scaled[1], transpose(scaled[1], self.dim), j, k).get(i, {}))
+
+    def _unscaled(self, scaled: Scaled, coords: Mapping[int, dict[int, int]]) -> Element:
+        """The Element of coordinates that pair_residual found on the scaled rows, over D^2."""
+        d, _, unpack = scaled
         return Element.of(self.dim, {
-            m: Poly({unpack(mono): Fraction(c, d * d) for mono, c in terms.items()})
-            for m, terms in pair_residual(rows, transpose(rows, self.dim), j, k).get(i, {}).items()
+            m: Poly({unpack(mono): Fraction(c, d * d) for mono, c in terms.items()}) for m, terms in coords.items()
         })
 
     def constants(self) -> Constants:
@@ -486,16 +490,18 @@ class AlgebraTable(Record):
 
     def _residual_verdict(self, detail: str, negate: bool = False) -> Verdict:
         """PASS, or FAIL at the lexicographically least basis triple with a
-        nonzero residual, walked by pairs on the scaled rows; negate reports
-        the residual's negative."""
-        rows = self.scaled_rows()[1]
-        cols = transpose(rows, self.dim)
-        nonzero = ((min(at), j, k) for j, k in residual_pairs(rows) if (at := pair_residual(rows, cols, j, k)))
+        nonzero residual, walked by pairs on the scaled rows, which are built
+        once: the witness's residual is unscaled from the walk's own
+        pair_residual result. negate reports the residual's negative."""
+        scaled = self.scaled_rows()
+        rows, cols = scaled[1], transpose(scaled[1], self.dim)
+        # (j, k) differ from pair to pair, so min never compares two results
+        nonzero = ((min(at), j, k, at) for j, k in residual_pairs(rows) if (at := pair_residual(rows, cols, j, k)))
         first = min(nonzero, default=None)
         if first is None:
             return Verdict(PASS)
-        i, j, k = first
-        r = self.residual(i, j, k)
+        i, j, k, at = first
+        r = self._unscaled(scaled, at[i])
         return Verdict(FAIL, (self.basis[i], self.basis[j], self.basis[k]), -r if negate else r, detail)
 
     def check_leibniz(self) -> Verdict:

@@ -2,12 +2,13 @@
 
 Linear algebra is exact over Fraction: subspaces are reduced row echelon
 forms. Every operation brackets sparse Fraction vectors {index: value}
-through the table's structure constants with core.bilinear, so it visits
-only the stored products that meet the vectors' supports, and feeds one
-incremental echelon routine (Echelon). Ideals are closed with a worklist:
-each new echelon row is bracketed with the basis once on each side, so
-this terminates after at most dim rows. The AlgebraTable methods of the
-same names import this module when first called.
+through the table's structure constants with core.bilinear, visiting only
+the stored products that meet the vectors' supports, and feeds one
+incremental echelon routine (Echelon). QuotientMap is the one reduction
+modulo an ideal; quotient_by projects the stored products through it.
+Ideals are closed with a worklist: each new echelon row is bracketed with
+the basis once on each side, so at most dim rows are added. The
+AlgebraTable methods of the same names import this module on first call.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .core import AlgebraTable, Element, Record, SparseVec, bilinear, sparse, sparse_element, symmetric_pairs, transpose
+from .core import _set
 from .errors import DimensionMismatchError, NotAnIdealError, ParametricError
-from .scalars import _F0, _F1, ZERO
+from .scalars import _F0, _F1
 
 DISTINGUISHED = "DISTINGUISHED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -64,10 +66,10 @@ class Echelon:
     def reduce(self, vec: SparseVec | Iterable[tuple[int, Fraction]]) -> SparseVec:
         """What is left of vec after clearing every pivot column.
 
-        vec holds no zero values. The pivots in its support are cleared in
-        ascending order, from a heap: a row touches no column left of its
-        pivot, so no cleared column fills in again, and a pivot column that
-        fills in is pushed. The result is empty exactly when vec is in the span.
+        vec holds nonzero Fraction or Poly values. The pivots in its support
+        are cleared in ascending order, from a heap: a row touches no column
+        left of its pivot, so no cleared column fills in again, and a pivot
+        column that fills in is pushed. vec reduces to {} iff it is in the span.
         """
         v = dict(vec)
         rows = self.rows
@@ -174,23 +176,25 @@ class InvariantProfile(Record):
 
 
 class QuotientMap(Record):
-    """Coordinate projection onto the quotient by an ideal.
+    """Coordinate projection onto the quotient by an ideal: the package's one
+    reduction modulo an ideal. Echelon.reduce clears the ideal's pivots from
+    the element's Fraction or Poly coordinates, following its support, so
+    what is left lies on the kept (non-pivot) coordinates. The echelon and
+    the kept index are built on the first call; like AlgebraTable._constants
+    they take no part in equality, hash or repr."""
 
-    Kept coordinates are the non-pivot columns of the ideal's echelon form;
-    an element is projected by reducing against the ideal rows and reading
-    off the kept coordinates.
-    """
-
-    __slots__ = ("ideal", "kept")
+    __slots__ = ("ideal", "kept", "_echelon", "_index")
+    _compare = ("ideal", "kept")
+    _defaults = {"_echelon": None, "_index": None}
 
     def __call__(self, el: Element) -> Element:
-        coords = dict(el.nonzero)
-        for row, p in zip(self.ideal.rows, self.ideal.pivots):
-            c = coords.get(p)
-            if c:
-                for k, x in row.items():
-                    coords[k] = coords.get(k, ZERO) - c * x
-        return Element.of(len(self.kept), {r: coords.get(i, ZERO) for r, i in enumerate(self.kept)})
+        if el.dim != self.ideal.ambient:
+            raise DimensionMismatchError(f"element of dimension {el.dim} projected from dimension {self.ideal.ambient}")
+        if self._echelon is None:
+            _set(self, "_echelon", Echelon.of(self.ideal))
+            _set(self, "_index", {i: r for r, i in enumerate(self.kept)})
+        index, reduced = self._index, self._echelon.reduce(el.nonzero)
+        return Element.of(len(self.kept), {index[k]: c for k, c in reduced.items()})
 
 
 class ProfileReport(Record):
@@ -297,21 +301,10 @@ def quotient_by(t: AlgebraTable, sub: Subspace) -> tuple[AlgebraTable, QuotientM
     t.verify_ideal(sub)
     kept = sub.complement_indices()
     proj = QuotientMap(sub, kept)
-    new_basis = tuple(t.basis[i] for i in kept)
-    ech = Echelon.of(sub)
-    rows = t.constants()
-    # a reduced vector is zero at every pivot, so its support lies in kept
     new_index = {i: r for r, i in enumerate(kept)}
-    table = [
-        {
-            new_index[q]: sparse_element(len(kept), {new_index[k]: x for k, x in ech.reduce(entry).items()})
-            for q, entry in rows[p].items()
-            if q in new_index
-        }
-        for p in kept
-    ]
-    quotient = AlgebraTable(f"{t.name}_mod_I", len(kept), (), new_basis, table)
-    return quotient, proj
+    # the quotient's bracket is p([b_p, b_q]) for the kept p and q
+    table = [{new_index[q]: proj(entry) for q, entry in t.rows[p].items() if q in new_index} for p in kept]
+    return AlgebraTable(f"{t.name}_mod_I", len(kept), (), tuple(t.basis[i] for i in kept), table), proj
 
 
 def center_dim(t: AlgebraTable, side: str) -> int:

@@ -210,6 +210,18 @@ def ref_residual(t: L.AlgebraTable, i: int, j: int, k: int) -> L.Element:
     return t1 - t2 + t3
 
 
+def ref_project(proj: L.QuotientMap, el: L.Element) -> L.Element:
+    """proj(el) by the loop that QuotientMap once ran: subtract every ideal
+    row in turn, then read off the kept coordinates."""
+    coords = dict(el.nonzero)
+    for row, p in zip(proj.ideal.rows, proj.ideal.pivots):
+        c = coords.get(p)
+        if c:
+            for k, x in row.items():
+                coords[k] = coords.get(k, L.ZERO) - c * x
+    return L.Element.of(len(proj.kept), {r: coords.get(i, L.ZERO) for r, i in enumerate(proj.kept)})
+
+
 def dense_constants(t: L.AlgebraTable) -> list:
     """rows[i][j] lists the nonzero (k, c) of [b_i, b_j], for every i and j:
     the dense structure constants, read through entry(i, j)."""

@@ -24,6 +24,7 @@ from conftest import (
     parametric_tables,
     random_table,
     rational_polys,
+    ref_project,
     ref_residual,
     right_mult_matrix,
     small_rationals,
@@ -467,6 +468,30 @@ def test_identity_checks_build_no_fraction_constants():
     assert t._constants is None
 
 
+def test_failing_check_scales_the_table_once(monkeypatch):
+    # the witness's residual is unscaled from the walk's own pair_residual result,
+    # not found again by residual(), which would scale the whole table a second time
+    m = L.make_module_extension(4, 1)
+    rows = [dict(row) for row in m.rows]
+    rows[m.index("e")][m.index("y1")] = m.basis_element("x0")
+    leibniz = L.AlgebraTable("forced", m.dim, (), m.basis, rows)
+    products = {("a", "b"): {"a": 1}, ("b", "a"): {"a": -1}, ("a", "c"): {"b": 1}, ("c", "a"): {"b": -1}}
+    jacobi = L.AlgebraTable.from_products("notjacobi", ("a", "b", "c"), products)
+    calls = []
+    scale = core.scale_table
+    monkeypatch.setattr(core, "scale_table", lambda *args: calls.append(1) or scale(*args))
+    for t, check, witness, text in (
+        (leibniz, "check_leibniz", ("e", "h", "y1"), "2*x0"),
+        (jacobi, "check_lie", ("a", "b", "c"), "b"),
+    ):
+        calls.clear()
+        verdict = getattr(t, check)()
+        assert len(calls) == 1, check
+        assert verdict.witness == witness and t.format_element(verdict.residual) == text
+        r = t.residual(*map(t.index, witness))
+        assert verdict.residual == (r if check == "check_leibniz" else -r)
+
+
 def test_span_and_subspace(sl2):
     e, h, f = (sl2.basis_element(s) for s in "ehf")
     sub = L.span([2 * e, e + f])
@@ -679,6 +704,52 @@ def test_quotient_by_full_and_zero(sl2):
     assert q == sl2
     q, _ = sl2.quotient_by(full_space(3))
     assert q.dim == 0
+
+
+def test_quotient_map_refuses_an_element_of_another_dimension():
+    t = L.make_L_family(1, 0, 1)
+    _, proj = t.quotient_by(t.squares_ideal())
+    for el in (L.make_sl2().basis_element(0), L.element_from([1] * 12)):
+        with pytest.raises(L.DimensionMismatchError, match=f"dimension {el.dim} projected from dimension 8"):
+            proj(el)
+
+
+def test_quotient_map_cache_takes_no_part_in_equality_hash_or_repr():
+    t = L.make_L_family(1, 0, 1)
+    _, proj = t.quotient_by(t.squares_ideal())
+    fresh = L.QuotientMap(proj.ideal, proj.kept)
+    assert proj._echelon is not None and fresh._echelon is None  # quotient_by projected through proj
+    assert proj == fresh and hash(proj) == hash(fresh) and repr(proj) == repr(fresh)
+    assert "_echelon" not in repr(proj) and "_index" not in repr(proj)
+    assert proj(t.basis_element("y1")) == fresh(t.basis_element("y1"))
+
+
+def test_quotient_map_projects_poly_coefficients():
+    t = L.make_L_family(1, 0, 1)
+    quotient, proj = t.quotient_by(t.squares_ideal())
+    s = L.Poly.param("s")
+    el = s * t.basis_element("x0") + t.basis_element("e") + (s * s) * t.basis_element("y2")
+    assert proj(el) == quotient.basis_element("e") + (s * s) * quotient.basis_element("y2")
+    assert proj(el) == ref_project(proj, el)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_quotient_map_matches_the_row_by_row_reference_on_random_tables(data):
+    t = data.draw(sparse_constant_tables())
+    coords = st.dictionaries(st.integers(min_value=0, max_value=t.dim - 1), small_rationals, max_size=t.dim)
+    polys = st.dictionaries(st.integers(min_value=0, max_value=t.dim - 1), rational_polys(("s", "u")), max_size=t.dim)
+    for table in (t, L.apply_basis_change(t, data.draw(invertible_changes(t.dim)))):
+        seed = core.sparse_element(table.dim, data.draw(coords))
+        ideals = [table.squares_ideal()] + ([table.ideal_closure(L.span([seed]))] if seed.nonzero else [])
+        for ideal in ideals:
+            quotient, proj = table.quotient_by(ideal)
+            # the quotient's products are the projected products, read from the stored rows
+            for p, i in enumerate(proj.kept):
+                for q, j in enumerate(proj.kept):
+                    assert quotient.entry(p, q) == ref_project(proj, table.entry(i, j))
+            for el in (core.sparse_element(table.dim, data.draw(coords)), L.Element.of(table.dim, data.draw(polys))):
+                assert proj(el) == ref_project(proj, el)
 
 
 def test_right_mult_matrix():
