@@ -1,19 +1,18 @@
 """Subspaces: spans, ideals, quotients and invariant profiles.
 
-Linear algebra is exact over Fraction: subspaces are reduced row echelon
-forms. Every operation brackets sparse Fraction vectors {index: value}
-through the table's structure constants with core.bilinear, visiting only
-the stored products that meet the vectors' supports, and feeds one
-incremental echelon routine (Echelon). QuotientMap is the one reduction
-modulo an ideal; quotient_by projects the stored products through it.
-Ideals are closed with a worklist: each new echelon row is bracketed with
-the basis once on each side, so at most dim rows are added. The
-AlgebraTable methods of the same names import this module on first call.
+Linear algebra is exact over Fraction. Subspaces are sparse reduced row
+echelon forms from one incremental routine (Echelon); every bracket is
+core.bilinear, which visits only the stored products that meet the
+vectors' supports. QuotientMap is the one reduction modulo an ideal;
+quotient_by projects the stored products through it. One walk closes
+ideals: each row the echelon gains is bracketed with the basis once on
+each side, and an ideal check fails at the first bracket the walk adds.
+The AlgebraTable methods of the same names import this module on first call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
@@ -191,6 +190,8 @@ class QuotientMap(Record):
         if el.dim != self.ideal.ambient:
             raise DimensionMismatchError(f"element of dimension {el.dim} projected from dimension {self.ideal.ambient}")
         if self._echelon is None:
+            if tuple(self.kept) != (complement := self.ideal.complement_indices()):
+                raise DimensionMismatchError(f"kept {self.kept} is not the complement {complement} of the ideal")
             _set(self, "_echelon", Echelon.of(self.ideal))
             _set(self, "_index", {i: r for r, i in enumerate(self.kept)})
         index, reduced = self._index, self._echelon.reduce(el.nonzero)
@@ -234,36 +235,39 @@ def product_span(t: AlgebraTable, left: Subspace, right: Subspace | None = None)
     """span{ [u, v] : u in left, v in right }, computed on echelon rows, one
     left row at a time so that only its brackets are held; right None is all
     of L, whose unit vectors {j: 1} are their own columns."""
+    for side, sub in (("left", left), ("right", right)):
+        if sub is not None and sub.ambient != t.dim:
+            raise DimensionMismatchError(f"{side} subspace in ambient dimension {sub.ambient}, not {t.dim}")
     cols = [{j: _F1} for j in range(t.dim)] if right is None else transpose(right.rows, t.dim)
     return _nonzero_span(t.dim, (w for u in left.rows for w in bilinear(t.constants(), [u], cols).values()))
 
 
-def _with_basis(t: AlgebraTable) -> Callable[[SparseVec], list[tuple[int, int, SparseVec]]]:
-    """brackets(v): the (j, side, w), sorted, with w = [v, b_j] (side 0) or
-    [b_j, v] (side 1) nonzero, through the stored products and their
-    transpose, so only the products that meet supp v are visited."""
+def _closure_walk(t: AlgebraTable, ech: Echelon, queue: list[SparseVec]) -> Iterator[tuple[SparseVec, int, int]]:
+    """Close ech into an ideal, yielding (row, j, side) for each bracket
+    [row, b_j] (side 0) or [b_j, row] (side 1) it gains: queued rows first
+    in, first out, each gained row queued, j ascending and side 0 first."""
+    if ech.ambient != t.dim:
+        raise DimensionMismatchError(f"subspace in ambient dimension {ech.ambient}, not {t.dim}")
+    if not queue or ech.rank == t.dim:
+        return  # nothing to add, and no constants to read
     rows, units = t.constants(), [{j: _F1} for j in range(t.dim)]
     sides = (rows, transpose(rows, t.dim))
-    return lambda v: sorted((j, side, w) for side, products in enumerate(sides)
-                            for (_, j), w in bilinear(products, [v], units).items())
+    for row in queue:  # the loop also reaches the rows appended below
+        for j, side, w in sorted((j, side, w) for side, products in enumerate(sides)
+                                 for (_, j), w in bilinear(products, [row], units).items()):
+            new = ech.add(w)
+            if new is not None:
+                queue.append(new)
+                yield row, j, side
+                if ech.rank == t.dim:
+                    return
 
 
 def ideal_closure(t: AlgebraTable, seed: Subspace) -> Subspace:
-    """Smallest two-sided ideal containing the seed subspace.
-
-    A worklist closure: every row the echelon gains is bracketed once on
-    each side with each basis vector that a stored product pairs it with.
-    """
-    if seed.ambient != t.dim:
-        raise DimensionMismatchError("seed lives in the wrong ambient dimension")
-    ech = Echelon(t.dim)
-    pending = [row for row in map(ech.add, seed.rows) if row is not None]
-    brackets = _with_basis(t) if pending and ech.rank < t.dim else None  # else the loop never runs
-    while pending and ech.rank < t.dim:
-        for _, _, w in brackets(pending.pop()):
-            row = ech.add(w)
-            if row is not None:
-                pending.append(row)
+    """Smallest two-sided ideal containing the seed subspace."""
+    ech = Echelon(seed.ambient)
+    for _ in _closure_walk(t, ech, [row for row in map(ech.add, seed.rows) if row is not None]):
+        pass
     return ech.subspace()
 
 
@@ -281,23 +285,18 @@ def squares_ideal(t: AlgebraTable) -> Subspace:
 
 
 def verify_ideal(t: AlgebraTable, sub: Subspace) -> None:
-    """Raise NotAnIdealError naming a violating product if sub is not an ideal;
-    row by row, j ascending, [v, b_j] is checked before [b_j, v]."""
-    brackets, ech = _with_basis(t), Echelon.of(sub)
-    for row in sub.rows:
-        for j, side, w in brackets(row):
-            if ech.reduce(w):
-                el = t.format_element(sparse_element(sub.ambient, row))
-                pair = f"{t.basis[j]}, {el}" if side else f"{el}, {t.basis[j]}"
-                raise NotAnIdealError(f"[{pair}] leaves the subspace")
+    """Raise NotAnIdealError naming the first product that the closure of sub
+    would add: rows in order, j ascending, [v, b_j] before [b_j, v]."""
+    for row, j, side in _closure_walk(t, Echelon.of(sub), list(sub.rows)):
+        el = t.format_element(sparse_element(sub.ambient, row))
+        pair = f"{t.basis[j]}, {el}" if side else f"{el}, {t.basis[j]}"
+        raise NotAnIdealError(f"[{pair}] leaves the subspace")
 
 
 def quotient_by(t: AlgebraTable, sub: Subspace) -> tuple[AlgebraTable, QuotientMap]:
     """Quotient table on the non-pivot coordinates, plus the projection."""
     if t.is_parametric():
         raise ParametricError("quotient requires a constant table")
-    if sub.ambient != t.dim:
-        raise DimensionMismatchError("subspace lives in the wrong ambient dimension")
     t.verify_ideal(sub)
     kept = sub.complement_indices()
     proj = QuotientMap(sub, kept)

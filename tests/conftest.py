@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 import leibnizalg as L
+from leibnizalg import core, spaces
 from leibnizalg.scalars import as_poly, mono_degree
 
 # one line per acceptance criterion, echoed after the run (see
@@ -220,6 +221,23 @@ def ref_project(proj: L.QuotientMap, el: L.Element) -> L.Element:
             for k, x in row.items():
                 coords[k] = coords.get(k, L.ZERO) - c * x
     return L.Element.of(len(proj.kept), {r: coords.get(i, L.ZERO) for r, i in enumerate(proj.kept)})
+
+
+def ref_verify_ideal(t: L.AlgebraTable, sub: L.Subspace) -> None:
+    """verify_ideal by the loop it once ran on its own: every row of sub in
+    turn, its nonzero brackets [v, b_j] and [b_j, v] sorted by (j, side),
+    and NotAnIdealError for the first one that does not reduce to zero."""
+    rows, units = t.constants(), [{j: Fraction(1)} for j in range(t.dim)]
+    sides = (rows, core.transpose(rows, t.dim))
+    ech = spaces.Echelon.of(sub)
+    for row in sub.rows:
+        brackets = sorted((j, side, w) for side, products in enumerate(sides)
+                          for (_, j), w in core.bilinear(products, [row], units).items())
+        for j, side, w in brackets:
+            if ech.reduce(w):
+                el = t.format_element(core.sparse_element(sub.ambient, row))
+                pair = f"{t.basis[j]}, {el}" if side else f"{el}, {t.basis[j]}"
+                raise L.NotAnIdealError(f"[{pair}] leaves the subspace")
 
 
 def dense_constants(t: L.AlgebraTable) -> list:

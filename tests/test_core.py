@@ -26,6 +26,7 @@ from conftest import (
     rational_polys,
     ref_project,
     ref_residual,
+    ref_verify_ideal,
     right_mult_matrix,
     small_rationals,
     sparse_constant_tables,
@@ -636,6 +637,61 @@ def test_verify_ideal_names_the_first_violating_product(table, coords, pair):
     with pytest.raises(L.NotAnIdealError) as exc:
         t.verify_ideal(L.span([t.element(coords)]))
     assert str(exc.value) == f"[{pair}] leaves the subspace"
+
+
+def ideal_check_text(check, t, sub):
+    """The NotAnIdealError text that check(t, sub) raises, or None when it passes."""
+    try:
+        check(t, sub)
+    except L.NotAnIdealError as exc:
+        return str(exc)
+    return None
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.data())
+def test_ideal_check_is_the_first_bracket_the_closure_adds(data):
+    t = data.draw(sparse_constant_tables())
+    vectors = st.lists(st.lists(small_rationals | st.just(Fraction(0)), min_size=t.dim, max_size=t.dim), max_size=3)
+    for table in (t, L.apply_basis_change(t, data.draw(invertible_changes(t.dim)))):
+        subs = [L.span([], table.dim), full_space(table.dim), table.squares_ideal()]
+        for rows in (data.draw(vectors), data.draw(vectors)[:1]):
+            subs.append(L.span(rows, table.dim))
+        subs.append(table.ideal_closure(subs[-1]))
+        for sub in subs:
+            text = ideal_check_text(spaces.verify_ideal, table, sub)
+            assert text == ideal_check_text(ref_verify_ideal, table, sub)
+            assert (table.ideal_closure(sub) == sub) == (text is None)
+
+
+@pytest.mark.parametrize("ambient", [3, 12])
+def test_ideal_operations_refuse_a_subspace_of_another_dimension(ambient):
+    # verify_ideal used to bracket the rows of a dim-3 subspace as if they lay in L(1,0,1)
+    # and report "[e, f] leaves the subspace"
+    t = L.make_L_family(1, 0, 1)
+    sub = L.span([[1] + [0] * (ambient - 1)])
+    for op in (t.verify_ideal, t.ideal_closure, t.quotient_by):
+        with pytest.raises(L.DimensionMismatchError, match=f"^subspace in ambient dimension {ambient}, not 8$"):
+            op(sub)
+
+
+def test_product_span_refuses_a_subspace_of_another_dimension(sl2):
+    # both used to raise IndexError
+    wide = L.span([[0] * 7 + [1]])
+    with pytest.raises(L.DimensionMismatchError, match="^left subspace in ambient dimension 8, not 3$"):
+        sl2.product_span(wide)
+    with pytest.raises(L.DimensionMismatchError, match="^right subspace in ambient dimension 8, not 3$"):
+        sl2.product_span(full_space(3), wide)
+
+
+def test_quotient_map_refuses_kept_coordinates_other_than_the_complement():
+    # (0, 1) used to raise KeyError: 2, and (0, 1, 2, 6, 7, 3) to return a dim-6 element
+    t = L.make_L_family(1, 0, 1)
+    ideal = t.squares_ideal()
+    assert ideal.pivots == (3, 4, 5)
+    for kept in ((0, 1), (0, 1, 2, 6, 7, 3)):
+        with pytest.raises(L.DimensionMismatchError, match="is not the complement"):
+            L.QuotientMap(ideal, kept)(t.basis_element("f"))
 
 
 @settings(deadline=None, max_examples=150)

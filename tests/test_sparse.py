@@ -312,10 +312,13 @@ def test_zero_table_profile_and_identity_change_follow_the_products(capsys, monk
     assert capsys.readouterr().out.startswith("PASS")
 
 
-def diagonal_table(n):
-    """[z_i, z_i] = z_i and no other product: the squares ideal is all of L."""
+def diagonal_table(n, central=False):
+    """[z_i, z_i] = z_i and no other product: the squares ideal is all of L, or
+    all but the extra basis vector c, which is central, when central is set."""
     basis = [f"z{i}" for i in range(n)]
-    return L.AlgebraTable.from_products(f"diag{n}", basis, {(b, b): {b: 1} for b in basis})
+    return L.AlgebraTable.from_products(
+        f"diag{n}" + "_c" * central, basis + ["c"] * central, {(b, b): {b: 1} for b in basis}
+    )
 
 
 def test_diagonal_ideal_and_profile_hold_sparse_rows():
@@ -331,8 +334,6 @@ def test_diagonal_ideal_and_profile_hold_sparse_rows():
 
 def test_quotient_reduces_only_nonzero_brackets(monkeypatch):
     n = 600
-    t = diagonal_table(n)
-    ideal = t.squares_ideal()
     calls = []
     reduce = spaces.Echelon.reduce
 
@@ -340,25 +341,32 @@ def test_quotient_reduces_only_nonzero_brackets(monkeypatch):
         calls.append(1)
         return reduce(self, vec)
 
-    monkeypatch.setattr(spaces.Echelon, "reduce", counted)
-    quotient, _ = t.quotient_by(ideal)
-    assert quotient.dim == 0
-    # [z_i, z_j] is zero unless j = i, so each ideal row has one nonzero bracket per side
-    assert len(calls) == 2 * n
+    for t, dim, reduced in ((diagonal_table(n), 0, 0), (diagonal_table(n, central=True), 1, 2 * n)):
+        ideal = t.squares_ideal()
+        calls.clear()
+        monkeypatch.setattr(spaces.Echelon, "reduce", counted)
+        quotient, _ = t.quotient_by(ideal)
+        monkeypatch.undo()
+        assert quotient.dim == dim
+        # an ideal of full rank needs no bracket; otherwise [z_i, z_j] is zero unless j = i,
+        # so each ideal row has one nonzero bracket per side, and the quotient's one product
+        # [c, c] is not stored
+        assert len(calls) == reduced
 
 
 def test_ideal_check_brackets_only_stored_products():
     # every row used to be bracketed with all n basis vectors on both sides (2n^2 = 180,000
     # brackets here), and the left side was found by testing each of the n rows for a meet
-    # (n^2 = 90,000 isdisjoint calls); now no function runs more than a few times per row
+    # (n^2 = 90,000 isdisjoint calls); now no function runs more than a few times per row.
+    # An ideal of full rank is not bracketed at all, so the central variant is counted too.
     n = 300
-    t = diagonal_table(n)
-    ideal = t.squares_ideal()
-    profile = cProfile.Profile()
-    quotient, _ = profile.runcall(t.quotient_by, ideal)
-    assert quotient.dim == 0
-    (_, _, name), (_, calls, *_) = max(pstats.Stats(profile).stats.items(), key=lambda item: item[1][1])
-    assert calls <= 30 * n, (name, calls)
+    for t, dim in ((diagonal_table(n), 0), (diagonal_table(n, central=True), 1)):
+        ideal = t.squares_ideal()
+        profile = cProfile.Profile()
+        quotient, _ = profile.runcall(t.quotient_by, ideal)
+        assert quotient.dim == dim
+        (_, _, name), (_, calls, *_) = max(pstats.Stats(profile).stats.items(), key=lambda item: item[1][1])
+        assert calls <= 30 * n, (name, calls)
 
 
 def test_identity_inverse_reduces_only_the_support():
