@@ -214,7 +214,7 @@ def parse_algebra(text: str) -> AlgebraTable:
             raise ParseError(lineno, f"duplicate product [{left},{right}]")
         seen.add((left, right))
         rows[index[left]][index[right]] = Element.of(dim, _parse_expr(expr, params, lineno, index))
-    return AlgebraTable(name, dim, params, basis, rows)
+    return AlgebraTable(name, params, basis, rows)
 
 
 def check_exponents(polys: Iterable[Poly]) -> None:
@@ -244,7 +244,7 @@ class ChangeDocument(Record):
     """A parsed change-of-basis file: the named new basis vectors in old
     coordinates (BasisChange.from_assignments builds the change)."""
 
-    __slots__ = ("name", "dim", "params", "basis", "assignments")
+    __slots__ = ("name", "params", "basis", "assignments")
 
 
 def parse_change(text: str) -> ChangeDocument:
@@ -262,4 +262,4 @@ def parse_change(text: str) -> ChangeDocument:
         if symbol in assignments:
             raise ParseError(lineno, f"duplicate `new {symbol}` line")
         assignments[symbol] = Element.of(dim, _parse_expr(expr, params, lineno, index))
-    return ChangeDocument(name, dim, params, basis, assignments)
+    return ChangeDocument(name, params, basis, assignments)

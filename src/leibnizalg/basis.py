@@ -182,7 +182,7 @@ def apply_basis_change(t: AlgebraTable, change: BasisChange) -> AlgebraTable:
     for (p, q), w in bilinear(products, rows, transpose(rows, t.dim)).items():
         new_rows[p][q] = Element.of(t.dim, {r: as_poly(x) for r, x in _row_times(w, inv).items()})
     extra = sorted(change.parameters() - set(t.params))
-    return AlgebraTable(t.name, t.dim, t.params + tuple(extra), t.basis, new_rows)
+    return AlgebraTable(t.name, t.params + tuple(extra), t.basis, new_rows)
 
 
 def verify_isomorphism(t1: AlgebraTable, t2: AlgebraTable, change: BasisChange) -> Verdict:
@@ -193,11 +193,11 @@ def verify_isomorphism(t1: AlgebraTable, t2: AlgebraTable, change: BasisChange) 
         )
     if t1.is_parametric() or t2.is_parametric():
         raise ParametricError("isomorphism checking needs constant tables")
-    moved = apply_basis_change(t1, change)
-    if t2.basis != moved.basis:
+    if t1.basis != t2.basis:
         raise DimensionMismatchError(
-            f"basis symbols differ: {list(moved.basis)} vs {list(t2.basis)}"
+            f"basis symbols differ: {list(t1.basis)} vs {list(t2.basis)}"
         )
+    moved = apply_basis_change(t1, change)
     zero = t2.zero()
     for i, (got_row, want_row) in enumerate(zip(moved.rows, t2.rows)):
         for j in sorted(got_row.keys() | want_row.keys()):

@@ -152,7 +152,7 @@ def make_dzhumadildaev(
                 raise AdmissibilityError(
                     f"action matrices are not a right module: fails at [{gi},{gj}]"
                 )
-    return AlgebraTable(f"{g.name}_plus_module", dim, (), g.basis + module, rows)
+    return AlgebraTable(f"{g.name}_plus_module", (), g.basis + module, rows)
 
 
 def make_direct_sum(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:

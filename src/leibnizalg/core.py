@@ -123,7 +123,7 @@ class Element(Record):
     __slots__ = ("dim", "nonzero")
 
     def __init__(self, coords: Sequence[Poly]):
-        _set(self, "dim", len(coords))  # not Record.__init__: elements are built in the hot loops
+        _set(self, "dim", len(coords))  # not Record.__init__: it takes dense coords; hot loops use Element.of
         _set(self, "nonzero", {i: c for i, c in enumerate(coords) if c})
 
     @classmethod
@@ -334,14 +334,13 @@ class AlgebraTable(Record):
     def __init__(
         self,
         name: str,
-        dim: int,
         params: tuple[str, ...],
         basis: tuple[str, ...],
         rows: Sequence[Mapping[int, Element]],
     ):
-        """rows[i] maps j to [b_i, b_j]; zero products are dropped and columns sorted."""
-        if dim != len(basis):
-            raise DimensionMismatchError(f"dim {dim} but {len(basis)} basis symbols")
+        """rows[i] maps j to [b_i, b_j]; zero products are dropped and columns sorted.
+        dim is the number of basis symbols."""
+        dim = len(basis)
         if len(set(basis)) != len(basis):
             raise DimensionMismatchError("duplicate basis symbols")
         if len(set(params)) != len(params):
@@ -400,7 +399,7 @@ class AlgebraTable(Record):
                     raise DimensionMismatchError(f"unknown basis symbol {symbol!r} in [{left},{right}]")
             vec = {index[symbol]: as_poly(coeff) for symbol, coeff in coords.items()}
             rows[index[left]][index[right]] = Element.of(dim, vec)
-        return cls(name, dim, tuple(params), basis, rows)
+        return cls(name, tuple(params), basis, rows)
 
     # -- element plumbing ---------------------------------------------------
 
@@ -445,7 +444,7 @@ class AlgebraTable(Record):
             }
             for row in self.rows
         ]
-        return AlgebraTable(self.name, self.dim, (), self.basis, rows)
+        return AlgebraTable(self.name, (), self.basis, rows)
 
     # -- bracket and residuals ----------------------------------------------
 

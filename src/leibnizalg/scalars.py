@@ -203,26 +203,6 @@ class Poly:
             total += value
         return total
 
-    def substitute(self, assignment: Mapping[str, Fraction | int]) -> "Poly":
-        """Substitute a subset of parameters, keeping the rest symbolic."""
-        acc: dict[Mono, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            value = coeff
-            rest: list[tuple[str, int]] = []
-            for name, e in mono:
-                if name in assignment:
-                    value *= Fraction(assignment[name]) ** e
-                else:
-                    rest.append((name, e))
-            if value:
-                key = tuple(rest)
-                c = acc.get(key, _F0) + value
-                if c:
-                    acc[key] = c
-                else:
-                    acc.pop(key, None)
-        return Poly(acc)
-
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
         """Terms in canonical ascending graded-lex order."""
         terms = self.terms

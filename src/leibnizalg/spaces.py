@@ -3,10 +3,14 @@
 Linear algebra is exact over Fraction. Subspaces are sparse reduced row
 echelon forms from one incremental routine (Echelon); every bracket is
 core.bilinear, which visits only the stored products that meet the
-vectors' supports. QuotientMap is the one reduction modulo an ideal;
-quotient_by projects the stored products through it. One walk closes
-ideals: each row the echelon gains is bracketed with the basis once on
-each side, and an ideal check fails at the first bracket the walk adds.
+vectors' supports. Each record holds only what it cannot derive: a
+Subspace is its rows (the pivots are read from them), a QuotientMap its
+ideal (the kept coordinates are the complement of the pivots) and a
+ProfileReport the invariants that differ. QuotientMap is the one
+reduction modulo an ideal; quotient_by projects the stored products
+through it. One walk closes ideals, entered from Echelon.of of the seed:
+each row the echelon gains is bracketed with the basis once on each
+side, and an ideal check fails at the first bracket the walk adds.
 The AlgebraTable methods of the same names import this module on first call.
 """
 
@@ -17,7 +21,6 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .core import AlgebraTable, Element, Record, SparseVec, bilinear, sparse, sparse_element, symmetric_pairs, transpose
-from .core import _set
 from .errors import DimensionMismatchError, NotAnIdealError, ParametricError
 from .scalars import _F0, _F1
 
@@ -112,22 +115,26 @@ class Echelon:
 
     def subspace(self) -> "Subspace":
         rows = self.reduced()
-        pivots = tuple(sorted(rows))
-        return Subspace(self.ambient, tuple(dict(sorted(rows[p].items())) for p in pivots), pivots)
+        return Subspace(self.ambient, tuple(dict(sorted(rows[p].items())) for p in sorted(rows)))
 
 
 class Subspace(Record):
     """A subspace of F^ambient in reduced row echelon form: rows[r] is the
     sparse row {column: nonzero value}, columns ascending, with pivot pivots[r]."""
 
-    __slots__ = ("ambient", "rows", "pivots")
+    __slots__ = ("ambient", "rows")
 
     def __hash__(self) -> int:
-        return hash((self.ambient, tuple(frozenset(r.items()) for r in self.rows), self.pivots))
+        return hash((self.ambient, tuple(frozenset(r.items()) for r in self.rows)))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """Each row's first (least) column."""
+        return tuple(min(r) for r in self.rows)
 
     def as_elements(self) -> tuple[Element, ...]:
         return tuple(sparse_element(self.ambient, r) for r in self.rows)
@@ -178,34 +185,37 @@ class QuotientMap(Record):
     """Coordinate projection onto the quotient by an ideal: the package's one
     reduction modulo an ideal. Echelon.reduce clears the ideal's pivots from
     the element's Fraction or Poly coordinates, following its support, so
-    what is left lies on the kept (non-pivot) coordinates. The echelon and
-    the kept index are built on the first call; like AlgebraTable._constants
-    they take no part in equality, hash or repr."""
+    what is left lies on the kept (non-pivot) coordinates, the complement of
+    the pivots. The ideal's echelon and the index of the kept coordinates
+    are built with the map; like AlgebraTable._constants they take no part
+    in equality, hash or repr."""
 
     __slots__ = ("ideal", "kept", "_echelon", "_index")
-    _compare = ("ideal", "kept")
-    _defaults = {"_echelon": None, "_index": None}
+    _compare = ("ideal",)
+
+    def __init__(self, ideal: Subspace):
+        kept = ideal.complement_indices()
+        Record.__init__(self, ideal, kept, Echelon.of(ideal), {i: r for r, i in enumerate(kept)})
 
     def __call__(self, el: Element) -> Element:
         if el.dim != self.ideal.ambient:
             raise DimensionMismatchError(f"element of dimension {el.dim} projected from dimension {self.ideal.ambient}")
-        if self._echelon is None:
-            if tuple(self.kept) != (complement := self.ideal.complement_indices()):
-                raise DimensionMismatchError(f"kept {self.kept} is not the complement {complement} of the ideal")
-            _set(self, "_echelon", Echelon.of(self.ideal))
-            _set(self, "_index", {i: r for r, i in enumerate(self.kept)})
         index, reduced = self._index, self._echelon.reduce(el.nonzero)
         return Element.of(len(self.kept), {index[k]: c for k, c in reduced.items()})
 
 
 class ProfileReport(Record):
-    """Outcome of comparing two invariant profiles."""
+    """Outcome of comparing two invariant profiles: the invariants that differ."""
 
-    __slots__ = ("status", "left", "right", "separating")
+    __slots__ = ("separating",)
+
+    @property
+    def status(self) -> str:
+        return DISTINGUISHED if self.separating else INCONCLUSIVE
 
     @property
     def distinguished(self) -> bool:
-        return self.status == DISTINGUISHED
+        return bool(self.separating)
 
     @classmethod
     def compare(cls, p1: InvariantProfile, p2: InvariantProfile) -> "ProfileReport":
@@ -215,8 +225,7 @@ class ProfileReport(Record):
         computed invariants cannot tell them apart.
         """
         d1, d2 = p1.as_dict(), p2.as_dict()
-        separating = tuple(k for k in d1 if d1[k] != d2[k])
-        return cls(DISTINGUISHED if separating else INCONCLUSIVE, p1, p2, separating)
+        return cls(tuple(k for k in d1 if d1[k] != d2[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +274,8 @@ def _closure_walk(t: AlgebraTable, ech: Echelon, queue: list[SparseVec]) -> Iter
 
 def ideal_closure(t: AlgebraTable, seed: Subspace) -> Subspace:
     """Smallest two-sided ideal containing the seed subspace."""
-    ech = Echelon(seed.ambient)
-    for _ in _closure_walk(t, ech, [row for row in map(ech.add, seed.rows) if row is not None]):
+    ech = Echelon.of(seed)
+    for _ in _closure_walk(t, ech, list(seed.rows)):
         pass
     return ech.subspace()
 
@@ -298,12 +307,11 @@ def quotient_by(t: AlgebraTable, sub: Subspace) -> tuple[AlgebraTable, QuotientM
     if t.is_parametric():
         raise ParametricError("quotient requires a constant table")
     t.verify_ideal(sub)
-    kept = sub.complement_indices()
-    proj = QuotientMap(sub, kept)
-    new_index = {i: r for r, i in enumerate(kept)}
+    proj = QuotientMap(sub)
+    index = proj._index
     # the quotient's bracket is p([b_p, b_q]) for the kept p and q
-    table = [{new_index[q]: proj(entry) for q, entry in t.rows[p].items() if q in new_index} for p in kept]
-    return AlgebraTable(f"{t.name}_mod_I", len(kept), (), tuple(t.basis[i] for i in kept), table), proj
+    table = [{index[q]: proj(entry) for q, entry in t.rows[p].items() if q in index} for p in proj.kept]
+    return AlgebraTable(f"{t.name}_mod_I", (), tuple(t.basis[i] for i in proj.kept), table), proj
 
 
 def center_dim(t: AlgebraTable, side: str) -> int:

@@ -260,7 +260,7 @@ def ref_apply_basis_change(t, change):
                         w[q][k] = w[q][k] + c[p][i] * c[q][j] * x
         rows.append({q: L.Element(coords) for q, coords in enumerate(mat_mul(tuple(map(tuple, w)), inv))})
     extra = tuple(sorted(change.parameters() - set(t.params)))
-    return L.AlgebraTable(t.name, n, t.params + extra, t.basis, rows)
+    return L.AlgebraTable(t.name, t.params + extra, t.basis, rows)
 
 
 @functools.cache

@@ -350,6 +350,16 @@ def test_change_basis_wrong_basis_is_usage_error(capsys, tmp_path):
     assert "does not match" in err
 
 
+def test_verify_iso_refuses_other_basis_symbols_before_changing_the_basis(capsys, tmp_path):
+    path = construct(capsys, tmp_path, "sl2")
+    renamed = write(tmp_path, "renamed.alg", "algebra sl2\ndim 3\nbasis a b c\n[a,b] = 2*a\n")
+    singular = write(tmp_path, "s.chg", "change s\ndim 3\nbasis e h f\nnew e = h\n")
+    for change in ("identity", singular):  # the singular change is never inverted
+        code, out, err = run(capsys, "verify-iso", path, renamed, change)
+        assert (code, out) == (2, "")
+        assert "basis symbols differ: ['e', 'h', 'f'] vs ['a', 'b', 'c']" in err
+
+
 DENSE_CHANGE_OF_L101 = """\
 new e = 1/2*e + 3/2*h - 1/2*f - 4/3*x0 + 2/3*x1 - 1/3*x2 + 2*y1 + 4/3*y2
 new h = -e + h + f - 3/2*x0 + 1/2*x1 + 1/3*x2 - 1/3*y1 + y2

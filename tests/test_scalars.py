@@ -52,13 +52,6 @@ def test_evaluate_names_missing_parameter():
     assert p.evaluate({"a": 2, "b": Fraction(1, 2), "l": -1}) == 0
 
 
-def test_substitute_partial():
-    p = A * B + B + 1
-    q = p.substitute({"a": 2})
-    assert q == 3 * B + 1
-    assert q.parameters() == {"b"}
-
-
 def test_canonical_string_is_ascending():
     # constants first, then by degree; inside a degree, grlex with earlier
     # names taking precedence, so b^2 < a*b < a^2
