@@ -33,7 +33,7 @@ import re
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .core import AlgebraTable, Element, Record, format_element
+from .core import AlgebraTable, Element, Record, format_coords
 from .errors import AlgebraError, ParseError
 from .scalars import ZERO, Poly, mono_mul
 
@@ -198,9 +198,9 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 def parse_algebra(text: str) -> AlgebraTable:
     """Parse an .alg document into a table."""
-    (name, dim, params, basis), body = _parse_header(_content_lines(text), "algebra")
+    (name, _, params, basis), body = _parse_header(_content_lines(text), "algebra")
     index = {b: i for i, b in enumerate(basis)}
-    rows: list[dict[int, Element]] = [{} for _ in basis]
+    rows: list[dict[int, dict]] = [{} for _ in basis]
     seen: set[tuple[str, str]] = set()
     for lineno, line in body:
         m = _PRODUCT_RE.match(line)
@@ -213,7 +213,7 @@ def parse_algebra(text: str) -> AlgebraTable:
         if (left, right) in seen:
             raise ParseError(lineno, f"duplicate product [{left},{right}]")
         seen.add((left, right))
-        rows[index[left]][index[right]] = Element.of(dim, _parse_expr(expr, params, lineno, index))
+        rows[index[left]][index[right]] = _parse_expr(expr, params, lineno, index)
     return AlgebraTable(name, params, basis, rows)
 
 
@@ -231,12 +231,12 @@ def serialize_algebra(t: AlgebraTable) -> str:
     """Canonical .alg text: header, then nonzero products in basis order; check_exponents guards it."""
     lines = [f"algebra {t.name}", f"dim {t.dim}"]
     if t.params:  # else no entry has a monomial
-        check_exponents(p for row in t.rows for entry in row.values() for p in entry.nonzero.values())
+        check_exponents(p for row in t.rows for entry in row.values() for _, p in entry)
         lines.append("params " + " ".join(t.params))
     lines.append("basis " + " ".join(t.basis))
     for left, row in zip(t.basis, t.rows):
         for j, entry in row.items():
-            lines.append(f"[{left},{t.basis[j]}] = {format_element(entry, t.basis)}")
+            lines.append(f"[{left},{t.basis[j]}] = {format_coords(entry, t.basis)}")
     return "\n".join(lines) + "\n"
 
 

@@ -173,14 +173,10 @@ def apply_basis_change(t: AlgebraTable, change: BasisChange) -> AlgebraTable:
             f"change has dimension {change.dim}, table has {t.dim}"
         )
     rows, inv = _matrices(change)
-    products = (
-        [{j: entry.nonzero.items() for j, entry in row.items()} for row in t.rows]
-        if t.is_parametric()
-        else t.constants()
-    )
-    new_rows: list[dict[int, Element]] = [{} for _ in rows]
+    products = t.rows if t.is_parametric() else t.constants()
+    new_rows: list[dict[int, dict[int, Poly]]] = [{} for _ in rows]
     for (p, q), w in bilinear(products, rows, transpose(rows, t.dim)).items():
-        new_rows[p][q] = Element.of(t.dim, {r: as_poly(x) for r, x in _row_times(w, inv).items()})
+        new_rows[p][q] = {r: as_poly(x) for r, x in _row_times(w, inv).items()}
     extra = sorted(change.parameters() - set(t.params))
     return AlgebraTable(t.name, t.params + tuple(extra), t.basis, new_rows)
 
@@ -198,11 +194,10 @@ def verify_isomorphism(t1: AlgebraTable, t2: AlgebraTable, change: BasisChange) 
             f"basis symbols differ: {list(t1.basis)} vs {list(t2.basis)}"
         )
     moved = apply_basis_change(t1, change)
-    zero = t2.zero()
     for i, (got_row, want_row) in enumerate(zip(moved.rows, t2.rows)):
         for j in sorted(got_row.keys() | want_row.keys()):
-            got, want = got_row.get(j, zero), want_row.get(j, zero)
-            if got != want:
+            if got_row.get(j) != want_row.get(j):
+                got, want = moved.entry(i, j), t2.entry(i, j)
                 return Verdict(
                     FAIL,
                     witness=(moved.basis[i], moved.basis[j]),

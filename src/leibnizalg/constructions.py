@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
-from .core import AlgebraTable, Element, Record, Row, pair_residual, scale_table, transpose
+from .core import AlgebraTable, Record, Row, pair_residual, scale_table, transpose
 from .errors import AdmissibilityError, DimensionMismatchError, ParametricError
 from .scalars import Poly, as_poly
 
@@ -140,8 +140,7 @@ def make_dzhumadildaev(
             for c, x in row.items():
                 if x:
                     acted[c][i][n + r] = as_poly(x)
-    rows = [{j: Element.of(dim, e.nonzero) for j, e in row.items()} for row in g.rows]
-    rows += [{i: Element.of(dim, v) for i, v in enumerate(col) if v} for col in acted]
+    rows = [*g.rows, *({i: v.items() for i, v in enumerate(col) if v} for col in acted)]
     # packed over the action's parameters, which AlgebraTable refuses only after the check
     params = set().union(*(p.parameters() for col in acted for v in col for p in v.values()))
     scaled = scale_table(rows, params)[1]
@@ -172,7 +171,7 @@ def make_direct_sum(a: AlgebraTable, b: AlgebraTable) -> AlgebraTable:
     for t, names in ((a, a.basis), (b, tuple(rename[n] for n in b.basis))):
         for bi, row in zip(names, t.rows):
             for j, entry in row.items():
-                products[(bi, names[j])] = {names[k]: c for k, c in entry.nonzero.items()}
+                products[(bi, names[j])] = {names[k]: c for k, c in entry}
     return AlgebraTable.from_products(f"{a.name}_plus_{b.name}", basis, products)
 
 

@@ -1,11 +1,11 @@
 """Structure-constant tables, bracket arithmetic and the identity checks.
 
-A finite-dimensional algebra is a table of products [b_i, b_j], each an
-Element (its nonzero Poly coordinates over the basis). AlgebraTable holds
-only the nonzero products, in rows: rows[i] maps j to [b_i, b_j], in
-ascending j, and entry(i, j) reads any product, zero or not. Every builder
-fills rows and every reader walks them, so work follows the stored
-products, not dim^2. The residual
+A finite-dimensional algebra is a table of products [b_i, b_j]. AlgebraTable
+holds only the nonzero products, in rows: rows[i] maps j, in ascending j, to
+the coordinates of [b_i, b_j], the tuple of its nonzero (k, Poly) pairs in
+ascending k, and entry(i, j) reads any product, zero or not, as an Element.
+Every builder fills rows and every kernel reads the pairs as they are
+stored, so work follows the stored products, not dim^2. The residual
 
     r(x, y, z) = [x, [y, z]] - [[x, y], z] + [[x, z], y]
 
@@ -17,18 +17,19 @@ of the table's denominators and packs each monomial into one int
 (scalars.mono_packing), and pair_residual returns D^2 times the operator
 r(., b_j, b_k) = R_[b_j,b_k] - R_k.R_j + R_j.R_k (R_y x = [x, y]), adding
 ints for monomial products, with no Fraction or Poly arithmetic. The
-identity checks, residual, extract_constraints in analysis and the module
+identity checks, extract_constraints in analysis and the module
 check of make_dzhumadildaev in constructions all run on it, over the pairs
 (j, k) whose residual can be nonzero (residual_pairs).
 
 Constant tables have one more representation, their sparse Fraction
-structure constants (AlgebraTable.constants), keyed like rows and built
-once per table. bilinear is the one bracket of vectors: it sums every
-[l_p, r_q] of two families from the stored products alone, over Fraction
-or Poly, and the basis change, product spans and ideal checks all run on
-it. Subspaces, ideals, quotients and invariant profiles are in spaces,
-which the AlgebraTable methods of those names import when first called;
-basis changes are in basis. So `check` and `constraints` compile neither.
+structure constants (AlgebraTable.constants), the same pairs over Fraction,
+built once per table. bilinear is the one bracket of vectors: it sums every
+[l_p, r_q] of two families from the stored pairs alone, over Fraction (the
+constants) or Poly (the rows), and the basis change, product spans and
+ideal checks all run on it. Subspaces, ideals, quotients and invariant
+profiles are in spaces, which the AlgebraTable methods of those names
+import when first called; basis changes are in basis. So `check` and
+`constraints` compile neither.
 """
 
 from __future__ import annotations
@@ -128,10 +129,11 @@ class Element(Record):
 
     @classmethod
     def of(cls, dim: int, nonzero: Mapping[int, Poly]) -> "Element":
-        """The element of dimension dim with these coordinates, sorted, zero values dropped."""
+        """The element of dimension dim with these coordinates, sorted, zero
+        values dropped; a coordinate outside range(dim) raises DimensionMismatchError."""
         el = object.__new__(cls)
         _set(el, "dim", dim)
-        _set(el, "nonzero", {k: nonzero[k] for k in sorted(nonzero) if nonzero[k]})
+        _set(el, "nonzero", _coordinates(dim, nonzero))
         return el
 
     @property
@@ -169,6 +171,15 @@ class Element(Record):
     __mul__ = __rmul__
 
 
+def _coordinates(dim: int, coords: Mapping[int, Poly]) -> dict[int, Poly]:
+    """coords in ascending order, zero values dropped; a coordinate outside
+    range(dim) raises DimensionMismatchError."""
+    keys = sorted(coords)
+    if keys and (keys[0] < 0 or keys[-1] >= dim):
+        raise DimensionMismatchError(f"coordinate {keys[0] if keys[0] < 0 else keys[-1]} is outside range({dim})")
+    return {k: coords[k] for k in keys if coords[k]}
+
+
 def zero_element(dim: int) -> Element:
     return Element.of(dim, {})
 
@@ -177,13 +188,14 @@ def element_from(coords: Sequence[Coeffish]) -> Element:
     return Element(tuple(as_poly(c) for c in coords))
 
 
+def format_coords(coords: Iterable[tuple[int, Poly]], basis: Sequence[str]) -> str:
+    """Canonical text for nonzero (k, Poly) pairs, k ascending: coordinate-major, terms ascending."""
+    return _join_terms(format_term(c, mono, basis[k]) for k, poly in coords for mono, c in poly.sorted_terms())
+
+
 def format_element(el: Element, basis: Sequence[str]) -> str:
-    """Canonical text for an element: coordinate-major, terms ascending."""
-    parts: list[tuple[int, str]] = []
-    for i, poly in el.nonzero.items():
-        for mono, coeff in poly.sorted_terms():
-            parts.append(format_term(coeff, mono, basis[i]))
-    return _join_terms(parts)
+    """Canonical text for an element."""
+    return format_coords(el.nonzero.items(), basis)
 
 
 def sparse(coords: Sequence[Fraction]) -> SparseVec:
@@ -196,15 +208,15 @@ def sparse_element(dim: int, vec: SparseVec) -> Element:
     return Element.of(dim, {k: Poly.const(x) for k, x in vec.items()})
 
 
-def scale_table(rows: Sequence[Mapping[int, Element]], params: Iterable[str]) -> Scaled:
+def scale_table(rows: Sequence[Mapping[int, Iterable[tuple[int, Poly]]]], params: Iterable[str]) -> Scaled:
     """(D, scaled, unpack): D is the lcm of every coefficient denominator in
-    the table rows (AlgebraTable.rows), scaled[i] maps each j with
+    the table rows (AlgebraTable.rows: (k, Poly) pairs), scaled[i] maps each j with
     [b_i, b_j] != 0 to the nonzero (k, {packed monomial: integer})
     coordinates of D*[b_i, b_j], and unpack maps a packed monomial of
     scaled, or of a product of two of their monomials, back to a Mono.
     Monomials are packed by scalars.mono_packing over params, which must
     name every parameter in the table, sized for its largest exponent."""
-    polys = [poly for row in rows for entry in row.values() for poly in entry.nonzero.values()]
+    polys = [poly for row in rows for entry in row.values() for _, poly in entry]
     d = lcm(*{c.denominator for poly in polys for c in poly.terms.values()})
     top = max((e for poly in polys for mono in poly.terms for _, e in mono), default=0)
     pack, unpack = mono_packing(params, top)
@@ -212,7 +224,7 @@ def scale_table(rows: Sequence[Mapping[int, Element]], params: Iterable[str]) ->
         {
             j: [
                 (k, {pack(mono): c.numerator * (d // c.denominator) for mono, c in poly.terms.items()})
-                for k, poly in entry.nonzero.items()
+                for k, poly in entry
             ]
             for j, entry in row.items()
         }
@@ -277,7 +289,7 @@ def bilinear(products: Sequence[Mapping[int, Iterable]], left: Sequence[Row], ri
     """{(p, q): [l_p, r_q]} for the sparse rows l_p of left and the vectors
     r_q given by column (right_cols[j] = {q: r_q[j]}), with zero coordinates
     and zero brackets left out. products[i] maps j to the nonzero (k, c) of
-    [b_i, b_j], as constants() does, and each adds l_p[i]*r_q[j]*[b_i, b_j],
+    [b_i, b_j], as rows and constants() do, and each adds l_p[i]*r_q[j]*[b_i, b_j],
     so the work follows the stored products that meet the supports. The
     scalars may be Fraction or Poly."""
     out: dict[tuple[int, int], dict] = {}
@@ -321,11 +333,12 @@ class Verdict(Record):
 class AlgebraTable(Record):
     """A structure-constant table over named basis symbols.
 
-    rows[i] maps each j with a nonzero product [b_i, b_j] to that product,
-    in ascending j; every other product is zero, and entry(i, j) reads any
-    of them. Equality compares dimension, parameters, basis names and every
-    product; the display name is ignored. _constants is built on first use
-    by constants() and lives and dies with the table.
+    rows[i] maps each j with a nonzero product [b_i, b_j], in ascending j,
+    to its coordinates: the tuple of its nonzero (k, Poly) pairs, k
+    ascending. Every other product is zero, and entry(i, j) reads any of
+    them as an Element. Equality compares dimension, parameters, basis
+    names and every product; the display name is ignored. _constants is
+    built on first use by constants() and lives and dies with the table.
     """
 
     __slots__ = ("name", "dim", "params", "basis", "rows", "_constants")
@@ -336,10 +349,12 @@ class AlgebraTable(Record):
         name: str,
         params: tuple[str, ...],
         basis: tuple[str, ...],
-        rows: Sequence[Mapping[int, Element]],
+        rows: Sequence[Mapping[int, Mapping[int, Poly] | Iterable[tuple[int, Poly]]]],
     ):
-        """rows[i] maps j to [b_i, b_j]; zero products are dropped and columns sorted.
-        dim is the number of basis symbols."""
+        """rows[i] maps j to the coordinates of [b_i, b_j], a mapping or (k, Poly)
+        pairs; zero coordinates and products are dropped, and columns and
+        coordinates sorted. dim is the number of basis symbols; a coordinate
+        outside range(dim) raises DimensionMismatchError."""
         dim = len(basis)
         if len(set(basis)) != len(basis):
             raise DimensionMismatchError("duplicate basis symbols")
@@ -356,15 +371,13 @@ class AlgebraTable(Record):
         for row in rows:
             kept = {}
             for j in sorted(row):
-                entry = row[j]
                 if j not in columns:
                     raise DimensionMismatchError(f"table has no column {j!r}")
-                if entry.dim != dim:
-                    raise DimensionMismatchError("table entry has wrong dimension")
-                if not entry.nonzero:
+                entry = tuple(_coordinates(dim, dict(row[j])).items())
+                if not entry:
                     continue
                 kept[j] = entry
-                for poly in entry.nonzero.values():
+                for _, poly in entry:
                     for mono in poly.terms:
                         if mono and not allowed.issuperset(name for name, _ in mono):
                             extra = poly.parameters() - allowed
@@ -388,8 +401,7 @@ class AlgebraTable(Record):
         """Build a table from a sparse product dictionary; the rest is zero."""
         basis = tuple(basis)
         index = {b: i for i, b in enumerate(basis)}
-        dim = len(basis)
-        rows: list[dict[int, Element]] = [{} for _ in basis]
+        rows: list[dict[int, dict[int, Poly]]] = [{} for _ in basis]
         for (left, right), coords in products.items():
             for symbol in (left, right):
                 if symbol not in index:
@@ -397,8 +409,7 @@ class AlgebraTable(Record):
             for symbol in coords:
                 if symbol not in index:
                     raise DimensionMismatchError(f"unknown basis symbol {symbol!r} in [{left},{right}]")
-            vec = {index[symbol]: as_poly(coeff) for symbol, coeff in coords.items()}
-            rows[index[left]][index[right]] = Element.of(dim, vec)
+            rows[index[left]][index[right]] = {index[symbol]: as_poly(coeff) for symbol, coeff in coords.items()}
         return cls(name, tuple(params), basis, rows)
 
     # -- element plumbing ---------------------------------------------------
@@ -416,12 +427,9 @@ class AlgebraTable(Record):
     def element(self, coords: Mapping[str, Coeffish]) -> Element:
         return Element.of(self.dim, {self.index(s): as_poly(c) for s, c in coords.items()})
 
-    def zero(self) -> Element:
-        return zero_element(self.dim)
-
     def entry(self, i: int, j: int) -> Element:
         """The product [b_i, b_j], zero or not."""
-        return self.rows[i].get(j) or zero_element(self.dim)
+        return Element.of(self.dim, dict(self.rows[i].get(j, ())))
 
     def format_element(self, el: Element) -> str:
         return format_element(el, self.basis)
@@ -429,7 +437,7 @@ class AlgebraTable(Record):
     def is_parametric(self) -> bool:
         # validation admits only declared parameters, so without any the table is constant
         return bool(self.params) and any(
-            not poly.is_constant() for row in self.rows for entry in row.values() for poly in entry.nonzero.values()
+            not poly.is_constant() for row in self.rows for entry in row.values() for _, poly in entry
         )
 
     def evaluate(self, assignment: Mapping[str, Fraction | int]) -> "AlgebraTable":
@@ -438,10 +446,7 @@ class AlgebraTable(Record):
             if p not in assignment:
                 raise MissingParameterError(f"no value for parameter {p}")
         rows = [
-            {
-                j: Element.of(self.dim, {k: Poly.const(p.evaluate(assignment)) for k, p in entry.nonzero.items()})
-                for j, entry in row.items()
-            }
+            {j: [(k, Poly.const(p.evaluate(assignment))) for k, p in entry] for j, entry in row.items()}
             for row in self.rows
         ]
         return AlgebraTable(self.name, (), self.basis, rows)
@@ -451,18 +456,6 @@ class AlgebraTable(Record):
     def scaled_rows(self) -> Scaled:
         """scale_table over this table and its declared parameters, built afresh on every call."""
         return scale_table(self.rows, self.params)
-
-    def residual(self, i: int, j: int, k: int) -> Element:
-        """r(b_i, b_j, b_k) = [b_i,[b_j,b_k]] - [[b_i,b_j],b_k] + [[b_i,b_k],b_j]."""
-        scaled = self.scaled_rows()
-        return self._unscaled(scaled, pair_residual(scaled[1], transpose(scaled[1], self.dim), j, k).get(i, {}))
-
-    def _unscaled(self, scaled: Scaled, coords: Mapping[int, dict[int, int]]) -> Element:
-        """The Element of coordinates that pair_residual found on the scaled rows, over D^2."""
-        d, _, unpack = scaled
-        return Element.of(self.dim, {
-            m: Poly({unpack(mono): Fraction(c, d * d) for mono, c in terms.items()}) for m, terms in coords.items()
-        })
 
     def constants(self) -> Constants:
         """Sparse structure constants, built on the first call and kept.
@@ -474,7 +467,7 @@ class AlgebraTable(Record):
         if self._constants is None:
             self._require_constant()
             built = [
-                {j: [(k, c.constant_value()) for k, c in entry.nonzero.items()] for j, entry in row.items()}
+                {j: [(k, c.constant_value()) for k, c in entry] for j, entry in row.items()}
                 for row in self.rows
             ]
             _set(self, "_constants", built)
@@ -492,15 +485,18 @@ class AlgebraTable(Record):
         nonzero residual, walked by pairs on the scaled rows, which are built
         once: the witness's residual is unscaled from the walk's own
         pair_residual result. negate reports the residual's negative."""
-        scaled = self.scaled_rows()
-        rows, cols = scaled[1], transpose(scaled[1], self.dim)
+        d, rows, unpack = self.scaled_rows()
+        cols = transpose(rows, self.dim)
         # (j, k) differ from pair to pair, so min never compares two results
         nonzero = ((min(at), j, k, at) for j, k in residual_pairs(rows) if (at := pair_residual(rows, cols, j, k)))
         first = min(nonzero, default=None)
         if first is None:
             return Verdict(PASS)
         i, j, k, at = first
-        r = self._unscaled(scaled, at[i])
+        # the walk's integers are D^2 times the residual
+        r = Element.of(self.dim, {
+            m: Poly({unpack(mono): Fraction(c, d * d) for mono, c in terms.items()}) for m, terms in at[i].items()
+        })
         return Verdict(FAIL, (self.basis[i], self.basis[j], self.basis[k]), -r if negate else r, detail)
 
     def check_leibniz(self) -> Verdict:
@@ -511,9 +507,8 @@ class AlgebraTable(Record):
     def check_lie(self) -> Verdict:
         """PASS iff the table is antisymmetric and satisfies Jacobi. Constants only."""
         self._require_constant()
-        rows, zero = self.rows, self.zero()
-        for i, j in symmetric_pairs(rows):
-            ij, ji = rows[i].get(j, zero), rows[j].get(i, zero)
+        for i, j in symmetric_pairs(self.rows):
+            ij, ji = self.entry(i, j), self.entry(j, i)
             if ij != -ji:
                 return Verdict(FAIL, (self.basis[i], self.basis[j]), ij + ji, "antisymmetry fails")
         # on an antisymmetric table the Jacobi sum [[x,y],z] + [[y,z],x] + [[z,x],y] is -r(x, y, z)

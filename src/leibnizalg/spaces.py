@@ -16,13 +16,13 @@ The AlgebraTable methods of the same names import this module on first call.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .core import AlgebraTable, Element, Record, SparseVec, bilinear, sparse, sparse_element, symmetric_pairs, transpose
-from .errors import DimensionMismatchError, NotAnIdealError, ParametricError
-from .scalars import _F0, _F1
+from .errors import AlgebraError, DimensionMismatchError, NotAnIdealError, ParametricError
+from .scalars import _F0, _F1, Coeffish
 
 DISTINGUISHED = "DISTINGUISHED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -124,6 +124,21 @@ class Subspace(Record):
 
     __slots__ = ("ambient", "rows")
 
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        """Refuses, with AlgebraError, rows not in reduced row echelon form: a
+        row that is empty, does not lead with 1, holds a column outside
+        range(ambient) or is nonzero at another row's pivot, or pivots out of
+        ascending order."""
+        Record.__init__(self, *args, **kwargs)
+        if not all(self.rows):
+            raise AlgebraError("a subspace row is empty")
+        pivots = self.pivots
+        taken = set(pivots)
+        for r, (row, p) in enumerate(zip(self.rows, pivots)):
+            if (row[p] != 1 or p < 0 or max(row) >= self.ambient or (r and pivots[r - 1] >= p)
+                    or any(k in taken for k in row if k != p)):
+                raise AlgebraError(f"subspace row {r} is not a reduced echelon row: {row}")
+
     def __hash__(self) -> int:
         return hash((self.ambient, tuple(frozenset(r.items()) for r in self.rows)))
 
@@ -200,8 +215,13 @@ class QuotientMap(Record):
     def __call__(self, el: Element) -> Element:
         if el.dim != self.ideal.ambient:
             raise DimensionMismatchError(f"element of dimension {el.dim} projected from dimension {self.ideal.ambient}")
-        index, reduced = self._index, self._echelon.reduce(el.nonzero)
-        return Element.of(len(self.kept), {index[k]: c for k, c in reduced.items()})
+        return Element.of(len(self.kept), self.reduce(el.nonzero))
+
+    def reduce(self, vec: Mapping[int, Coeffish] | Iterable[tuple[int, Coeffish]]) -> dict[int, Coeffish]:
+        """The nonzero coordinates of vec's image, a mapping or (k, value)
+        pairs over the ambient basis, numbered as in the quotient."""
+        index = self._index
+        return {index[k]: c for k, c in self._echelon.reduce(vec).items()}
 
 
 class ProfileReport(Record):
@@ -310,7 +330,7 @@ def quotient_by(t: AlgebraTable, sub: Subspace) -> tuple[AlgebraTable, QuotientM
     proj = QuotientMap(sub)
     index = proj._index
     # the quotient's bracket is p([b_p, b_q]) for the kept p and q
-    table = [{index[q]: proj(entry) for q, entry in t.rows[p].items() if q in index} for p in proj.kept]
+    table = [{index[q]: proj.reduce(entry) for q, entry in t.rows[p].items() if q in index} for p in proj.kept]
     return AlgebraTable(f"{t.name}_mod_I", (), tuple(t.basis[i] for i in proj.kept), table), proj
 
 

@@ -211,6 +211,16 @@ def ref_residual(t: L.AlgebraTable, i: int, j: int, k: int) -> L.Element:
     return t1 - t2 + t3
 
 
+def kernel_residual(t: L.AlgebraTable, i: int, j: int, k: int) -> L.Element:
+    """r(b_i, b_j, b_k) read off the package's pair kernel on the scaled rows,
+    whose integers are D^2 times the residual."""
+    d, rows, unpack = t.scaled_rows()
+    coords = core.pair_residual(rows, core.transpose(rows, t.dim), j, k).get(i, {})
+    return L.Element.of(t.dim, {
+        m: L.Poly({unpack(mono): Fraction(c, d * d) for mono, c in terms.items()}) for m, terms in coords.items()
+    })
+
+
 def ref_project(proj: L.QuotientMap, el: L.Element) -> L.Element:
     """proj(el) by the loop that QuotientMap once ran: subtract every ideal
     row in turn, then read off the kept coordinates."""

@@ -17,6 +17,7 @@ from conftest import (
     dense_constants,
     full_space,
     invertible_changes,
+    kernel_residual,
     mat_from_rows,
     mat_identity,
     mat_mul,
@@ -90,7 +91,10 @@ def test_record_repr_names_class_and_fields():
         "FamilySpec(m=2, include_sl2_R_products=False, include_sl2_defects=False)"
     )
     table = repr(L.make_r2())
-    assert table.startswith("AlgebraTable(name='r2', dim=2, params=(), basis=('y1', 'y2'), rows=({1: Element(")
+    assert table == (
+        "AlgebraTable(name='r2', dim=2, params=(), basis=('y1', 'y2'), "
+        "rows=({1: ((0, Poly(1)),)}, {0: ((0, Poly(-1)),)}))"
+    )
     assert "_constants" not in table
     for record in record_instances():
         text = repr(record)
@@ -218,10 +222,9 @@ def test_residual_orientation(prefamily):
         - bracket(t, bracket(t, x, y), z)
         + bracket(t, bracket(t, x, z), y)
     )
-    assert t.residual(i, j, k) == by_hand
     lam, a = Poly.param("l"), Poly.param("a")
     expected = (lam - lam * a) * t.basis_element("x0")
-    assert t.residual(i, j, k) == expected
+    assert by_hand == expected == ref_residual(t, i, j, k) == kernel_residual(t, i, j, k)
 
 
 def test_check_leibniz_passes_on_fixtures():
@@ -360,7 +363,7 @@ def ref_check_leibniz(t):
                 acc[m] = acc.get(m, 0) + c * d
         if any(acc.values()):
             witness = (t.basis[i], t.basis[j], t.basis[k])
-            return L.Verdict("FAIL", witness, t.residual(i, j, k), "Leibniz identity fails")
+            return L.Verdict("FAIL", witness, ref_residual(t, i, j, k), "Leibniz identity fails")
     return L.Verdict("PASS")
 
 
@@ -384,7 +387,7 @@ def ref_check_lie(t):
                 acc[m] = acc.get(m, 0) + c * d
         if any(acc.values()):
             witness = (t.basis[i], t.basis[j], t.basis[k])
-            return L.Verdict("FAIL", witness, -t.residual(i, j, k), "Jacobi identity fails")
+            return L.Verdict("FAIL", witness, -ref_residual(t, i, j, k), "Jacobi identity fails")
     return L.Verdict("PASS")
 
 
@@ -500,10 +503,10 @@ def test_identity_checks_build_no_fraction_constants():
 
 def test_failing_check_scales_the_table_once(monkeypatch):
     # the witness's residual is unscaled from the walk's own pair_residual result,
-    # not found again by residual(), which would scale the whole table a second time
+    # not found again by a second walk, which would scale the whole table a second time
     m = L.make_module_extension(4, 1)
     rows = [dict(row) for row in m.rows]
-    rows[m.index("e")][m.index("y1")] = m.basis_element("x0")
+    rows[m.index("e")][m.index("y1")] = {m.index("x0"): L.ONE}
     leibniz = L.AlgebraTable("forced", (), m.basis, rows)
     products = {("a", "b"): {"a": 1}, ("b", "a"): {"a": -1}, ("a", "c"): {"b": 1}, ("c", "a"): {"b": -1}}
     jacobi = L.AlgebraTable.from_products("notjacobi", ("a", "b", "c"), products)
@@ -518,7 +521,7 @@ def test_failing_check_scales_the_table_once(monkeypatch):
         verdict = getattr(t, check)()
         assert len(calls) == 1, check
         assert verdict.witness == witness and t.format_element(verdict.residual) == text
-        r = t.residual(*map(t.index, witness))
+        r = ref_residual(t, *map(t.index, witness))
         assert verdict.residual == (r if check == "check_leibniz" else -r)
 
 
@@ -622,7 +625,7 @@ def assert_operator_form_agrees(t):
     if first is not None:
         (i, j, k), column = first
         assert verdict.witness == (t.basis[i], t.basis[j], t.basis[k])
-        assert verdict.residual == column == t.residual(i, j, k)
+        assert verdict.residual == column == ref_residual(t, i, j, k)
     return verdict.passed
 
 
@@ -941,6 +944,58 @@ def test_from_products_validation():
     with pytest.raises(L.AlgebraError):
         # undeclared parameter in an entry
         L.AlgebraTable.from_products("bad", ("a",), {("a", "a"): {"a": Poly.param("t")}})
+
+
+def test_table_entries_are_their_coordinate_pairs():
+    # an entry is stored as its nonzero (k, Poly) pairs, k ascending, given as a mapping or as pairs
+    two, s = L.as_poly(2), Poly.param("s")
+    by_map = L.AlgebraTable("x", ("s",), ("a", "b"), [{1: {1: s, 0: two}}, {0: {0: L.ZERO}}])
+    by_pairs = L.AlgebraTable("x", ("s",), ("a", "b"), [{1: ((1, s), (0, two))}, {}])
+    assert by_map.rows == by_pairs.rows == ({1: ((0, two), (1, s))}, {})
+    assert by_map == by_pairs and hash(by_map) == hash(by_pairs)
+    assert by_map.entry(0, 1) == L.Element.of(2, {0: two, 1: s}) and by_map.entry(1, 0).is_zero()
+
+
+@pytest.mark.parametrize("entry", [{5: L.ONE}, {2: L.ONE}, {-1: L.ONE}, ((0, L.ONE), (7, L.ONE)), {9: L.ZERO}])
+def test_table_refuses_an_entry_coordinate_outside_the_basis(entry):
+    # such a table was built, and check, the squares ideal, the profile and serialize then raised IndexError
+    with pytest.raises(L.DimensionMismatchError, match=r"outside range\(2\)"):
+        L.AlgebraTable("x", (), ("a", "b"), [{0: entry}, {}])
+
+
+def test_element_refuses_a_coordinate_outside_its_dimension():
+    # each of these met an element with coordinate 7 in dimension 2: span built
+    # Subspace(ambient=2, rows=({7: 1},)), the quotient map raised KeyError,
+    # format_element IndexError, and a basis change IndexError or "singular"
+    t = L.make_r2()
+    _, proj = t.quotient_by(L.span([], 2))
+    outside = [
+        lambda c: L.span([L.Element.of(2, {7: c})]),
+        lambda c: proj(L.Element.of(2, {7: c})),
+        lambda c: L.format_element(L.Element.of(2, {7: c}), t.basis),
+        lambda c: L.apply_basis_change(t, L.BasisChange.from_assignments(t, {"y1": L.Element.of(2, {1: L.ONE, 7: c})})),
+    ]
+    for use in outside:
+        for c in (L.ONE, Poly.param("s")):
+            with pytest.raises(L.DimensionMismatchError, match=r"coordinate 7 is outside range\(2\)"):
+                use(c)
+    with pytest.raises(L.DimensionMismatchError, match=r"coordinate -1 is outside range\(2\)"):
+        L.Element.of(2, {-1: L.ONE, 1: L.ONE})
+    assert L.Element.of(2, {1: L.ONE, 0: L.ZERO}).nonzero == {1: L.ONE}
+
+
+@pytest.mark.parametrize("rows", [
+    ({0: Fraction(2)},),  # does not lead with 1; QuotientMap raised KeyError and quotient_by gave a 1-dim quotient
+    ({},),  # empty; its pivots raised ValueError
+    ({1: 1}, {0: 1, 1: 3}),  # pivots read (1, 0)
+    ({1: 1}, {0: 1}),  # reduced, but pivots out of order
+    ({0: 1, 1: 2}, {1: 1}),  # nonzero at the second row's pivot
+    ({0: 1, 2: 1},),  # column outside range(2)
+    ({-1: 1},),
+])
+def test_subspace_refuses_rows_not_in_reduced_echelon_form(rows):
+    with pytest.raises(L.AlgebraError, match="subspace row"):
+        L.Subspace(2, rows)
 
 
 def test_undeclared_parameter_in_one_entry():

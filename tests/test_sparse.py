@@ -198,9 +198,14 @@ def check_against_references(t):
     text = L.serialize_algebra(t)
     assert text == ref_serialize_algebra(t)
     assert L.parse_algebra(text) == t
-    for row in t.rows:
-        # only the nonzero products are stored, in ascending column order
-        assert list(row) == sorted(row) and all(entry.nonzero for entry in row.values())
+    for i, row in enumerate(t.rows):
+        # only the nonzero products are stored, in ascending column order, each
+        # as the tuple of its nonzero (k, Poly) pairs in ascending k
+        assert list(row) == sorted(row)
+        for j, entry in row.items():
+            assert type(entry) is tuple and entry and all(type(c) is L.Poly and c for _, c in entry)
+            assert [k for k, _ in entry] == sorted({k for k, _ in entry})
+            assert entry == tuple(t.entry(i, j).nonzero.items())
     for i in range(t.dim):
         for j in range(t.dim):
             entry = t.entry(i, j)
